@@ -64,7 +64,6 @@ from .sympoly import (
 )
 from .weyl import (
     SignedExpansion,
-    SubalgebraSpec,
     SuperRootSubset,
     close_root_subset,
     weyl_denominator_ar,

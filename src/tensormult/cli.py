@@ -1,5 +1,5 @@
 """Command-line surface: single multiplicity queries, bulk tables, restriction
-tables, occupancy dumps, cross-validation suites, and a backend benchmark.
+tables, occupancy dumps, and cross-validation suites.
 
 Exit codes: 0 success, 2 usage error, 3 cross-check or suite failure.  Big
 integers are emitted as decimal strings; table entries are sorted by weight
@@ -7,13 +7,12 @@ vector so repeated runs are byte-identical.
 """
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import diffformula, occupancy, oracle, verify
 from .errors import TensormultError
@@ -56,6 +55,8 @@ def _parse_shape(text: str) -> tuple[int, int]:
 
 def _parse_spins(two_s_text: str, nsites) -> tuple[int, ...]:
     values = [int(t) for t in two_s_text.split(",")]
+    if nsites is not None and nsites < 1:
+        raise ValueError(f"--L must be at least 1, got {nsites}")
     if any(v < 0 for v in values):
         raise ValueError("site degrees must be nonnegative")
     if len(values) == 1:
@@ -72,37 +73,73 @@ def _default_jobs() -> int:
 
 
 def _map_jobs(worker, items, jobs):
+    """worker over items, in order; parallel when jobs > 1.
+
+    A process pool may start all its workers at once, so jobs is clamped to
+    the CPU count and to the number of items.
+    """
     items = list(items)
-    if jobs <= 1 or len(items) < 2:
+    jobs = min(jobs, os.cpu_count() or 1, len(items))
+    if jobs <= 1:
         return [worker(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, items, chunksize=max(1, len(items) // jobs)))
 
 
-def _mult_worker(args):
-    m_vec, spins, backend = args
-    return str(diffformula.multiplicity_from_m(m_vec, spins, backend))
+def _label_rows(rank: int, total: int, label_of):
+    """(weight vector, label) for every standard weight vector that has a label.
+
+    label_of returns None or raises TensormultError for a vector without one.
+    """
+    rows = []
+    for m_vec in occupancy.standard_m_vectors(rank, total):
+        try:
+            label = label_of(m_vec)
+        except TensormultError:
+            continue
+        if label is not None:
+            rows.append((m_vec, label))
+    return rows
 
 
-def _branch_worker(args):
-    m_vec, spec, spins, backend = args
-    return str(diffformula.branching_multiplicity_from_m(m_vec, spec, spins, backend))
+def _table_entries(rows, mus, fields, oracle_values=None):
+    """Entries for the rows with a nonzero multiplicity, and the exit status.
+
+    fields(label) gives the label's entry fields.  With oracle values, each
+    entry carries the oracle's multiplicity and a mismatch exits 3.
+    """
+    status = EXIT_OK
+    entries = []
+    for (m_vec, label), mu in zip(rows, mus):
+        if not mu:
+            continue
+        entry = {"M": list(m_vec), **fields(label), "mu": str(mu)}
+        if oracle_values is not None:
+            entry["oracle"] = str(oracle_values.get(label, 0))
+            if entry["oracle"] != entry["mu"]:
+                status = EXIT_MISMATCH
+        entries.append(entry)
+    return entries, status
 
 
-def _super_worker(args):
-    m_vec, two_s, nsites, shape, backend = args
-    return str(
-        diffformula.super_multiplicity_from_m(m_vec, two_s, nsites, shape, backend)
-    )
+def _lambda_fields(lam):
+    return {"lambda": list(lam)}
 
 
-def _super_branch_worker(args):
-    m_vec, sub, two_s, nsites, backend = args
-    return str(
-        diffformula.super_branching_multiplicity_from_m(
-            m_vec, sub, two_s, nsites, backend
-        )
-    )
+def _branch_fields(label):
+    diagrams, charges = label
+    return {"diagrams": [format_partition(d) for d in diagrams], "charges": list(charges)}
+
+
+def _super_branch_fields(label):
+    diagrams, charges = label
+    return {
+        "diagrams": [
+            f"{','.join(map(str, labels))}:{format_partition(lam)}"
+            for labels, lam in diagrams
+        ],
+        "charges": [f"{a}:{value}" for a, value in charges],
+    }
 
 
 def _emit(doc: dict, fmt: str, out) -> None:
@@ -137,36 +174,24 @@ def cmd_multiplicity(args, out) -> int:
     total = sum(spins)
     query = {"algebra": f"A{rank}", "twoS": list(spins), "L": len(spins)}
     if args.table:
-        rows = []
-        for m_vec in occupancy.standard_m_vectors(rank, total):
-            try:
-                lam = lambda_from_m(m_vec, total)
-            except TensormultError:
-                continue
-            rows.append((m_vec, lam))
-        values = {}
-        for backend in _backends(args.backend):
-            work = [(m, spins, backend) for m, _ in rows]
-            values[backend] = _map_jobs(_mult_worker, work, args.jobs)
-        picked = values[_backends(args.backend)[0]]
+        rows = _label_rows(rank, total, partial(lambda_from_m, two_sl=total))
+        values = {
+            backend: _map_jobs(
+                partial(diffformula.multiplicity_from_m, spins=spins, backend=backend),
+                [m_vec for m_vec, _ in rows],
+                args.jobs,
+            )
+            for backend in _backends(args.backend)
+        }
         if len(values) == 2 and values["dp"] != values["poly"]:
             print("backend mismatch in multiplicity table", file=sys.stderr)
             return EXIT_MISMATCH
-        entries = []
         oracle_values = (
             oracle.schur_expansion(spins, rank) if args.check else None
         )
-        status = EXIT_OK
-        for (m_vec, lam), mu in zip(rows, picked):
-            if mu == "0":
-                continue
-            entry = {"M": list(m_vec), "lambda": list(lam), "mu": mu}
-            if oracle_values is not None:
-                want = str(oracle_values.get(lam, 0))
-                entry["oracle"] = want
-                if want != mu:
-                    status = EXIT_MISMATCH
-            entries.append(entry)
+        entries, status = _table_entries(
+            rows, values[_backends(args.backend)[0]], _lambda_fields, oracle_values
+        )
         _emit({"query": query, "entries": entries}, args.format, out)
         return status
     if getattr(args, "lambda") is None:
@@ -214,27 +239,20 @@ def cmd_branch(args, out) -> int:
         "abelian": list(spec.abelian),
     }
     if args.table:
-        rows = []
-        for m_vec in occupancy.standard_m_vectors(rank, total):
-            label = diffformula.branching_weight_from_m(m_vec, spec, total)
-            if label is not None:
-                rows.append((m_vec, label))
-        work = [(m, spec, spins, args.backend) for m, _ in rows]
-        mus = _map_jobs(_branch_worker, work, args.jobs)
-        entries = []
-        for (m_vec, (diagrams, charges)), mu in zip(rows, mus):
-            if mu == "0":
-                continue
-            entries.append(
-                {
-                    "M": list(m_vec),
-                    "diagrams": [format_partition(d) for d in diagrams],
-                    "charges": list(charges),
-                    "mu": mu,
-                }
-            )
+        rows = _label_rows(
+            rank, total, partial(diffformula.branching_weight_from_m, spec=spec, two_sl=total)
+        )
+        mus = _map_jobs(
+            partial(
+                diffformula.branching_multiplicity_from_m,
+                spec=spec, spins=spins, backend=args.backend,
+            ),
+            [m_vec for m_vec, _ in rows],
+            args.jobs,
+        )
+        entries, status = _table_entries(rows, mus, _branch_fields)
         _emit({"query": query, "entries": entries}, args.format, out)
-        return EXIT_OK
+        return status
     if args.rows is None:
         raise ValueError("need --rows or --table")
     rows = [int(t) for t in args.rows.split(",")]
@@ -268,58 +286,31 @@ def cmd_super(args, out) -> int:
         query["roots"] = [list(r) for r in sub.roots]
     if args.table:
         if sub is None:
-            rows = []
-            for m_vec in occupancy.standard_m_vectors(rank, total):
-                try:
-                    lam = hook_from_super_m(m_vec, total, shape)
-                except TensormultError:
-                    continue
-                rows.append((m_vec, lam))
-            work = [(mv, two_s, nsites, shape, args.backend) for mv, _ in rows]
-            mus = _map_jobs(_super_worker, work, args.jobs)
-            oracle_values = (
-                oracle.hook_schur_expansion(two_s, nsites, shape)
-                if args.check
-                else None
+            label_of = partial(hook_from_super_m, two_sl=total, shape=shape)
+            worker = partial(
+                diffformula.super_multiplicity_from_m,
+                two_s=two_s, nsites=nsites, shape=shape, backend=args.backend,
             )
-            status = EXIT_OK
-            entries = []
-            for (m_vec, lam), mu in zip(rows, mus):
-                if mu == "0":
-                    continue
-                entry = {"M": list(m_vec), "lambda": list(lam), "mu": mu}
-                if oracle_values is not None:
-                    want = str(oracle_values.get(lam, 0))
-                    entry["oracle"] = want
-                    if want != mu:
-                        status = EXIT_MISMATCH
-                entries.append(entry)
-            _emit({"query": query, "entries": entries}, args.format, out)
-            return status
-        rows = []
-        for m_vec in occupancy.standard_m_vectors(rank, total):
-            label = diffformula.super_branching_weight_from_m(m_vec, sub, two_s, nsites)
-            if label is not None:
-                rows.append((m_vec, label))
-        work = [(mv, sub, two_s, nsites, args.backend) for mv, _ in rows]
-        mus = _map_jobs(_super_branch_worker, work, args.jobs)
-        entries = []
-        for (m_vec, (diagrams, charges)), mu in zip(rows, mus):
-            if mu == "0":
-                continue
-            entries.append(
-                {
-                    "M": list(m_vec),
-                    "diagrams": [
-                        f"{','.join(map(str, labels))}:{format_partition(lam)}"
-                        for labels, lam in diagrams
-                    ],
-                    "charges": [f"{label}:{value}" for label, value in charges],
-                    "mu": mu,
-                }
+            fields = _lambda_fields
+        else:
+            label_of = partial(
+                diffformula.super_branching_weight_from_m, sub=sub, two_s=two_s, nsites=nsites
             )
+            worker = partial(
+                diffformula.super_branching_multiplicity_from_m,
+                sub=sub, two_s=two_s, nsites=nsites, backend=args.backend,
+            )
+            fields = _super_branch_fields
+        rows = _label_rows(rank, total, label_of)
+        mus = _map_jobs(worker, [m_vec for m_vec, _ in rows], args.jobs)
+        oracle_values = (
+            oracle.hook_schur_expansion(two_s, nsites, shape)
+            if args.check and sub is None
+            else None
+        )
+        entries, status = _table_entries(rows, mus, fields, oracle_values)
         _emit({"query": query, "entries": entries}, args.format, out)
-        return EXIT_OK
+        return status
     if args.M:
         m_vec = tuple(int(t) for t in args.M.split(","))
     elif getattr(args, "lambda") is not None:
@@ -442,32 +433,6 @@ def cmd_verify(args, out) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
-def cmd_bench(args, out) -> int:
-    ranks = [int(t) for t in args.r.split(",")]
-    degrees = [int(t) for t in args.twoS.split(",")]
-    site_counts = [int(t) for t in args.L.split(",")]
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["r", "twoS", "L", "backend", "queries", "seconds"])
-    for rank in ranks:
-        for two_s in degrees:
-            for nsites in site_counts:
-                spins = (two_s,) * nsites
-                queries = list(occupancy.standard_m_vectors(rank, two_s * nsites))
-                for backend in ("dp", "poly"):
-                    best = None
-                    for _ in range(args.repeat):
-                        occupancy.clear_caches()
-                        start = time.perf_counter()
-                        for m_vec in queries:
-                            occupancy.occupancy_coefficient(m_vec, spins, backend)
-                        elapsed = time.perf_counter() - start
-                        best = elapsed if best is None else min(best, elapsed)
-                    writer.writerow(
-                        [rank, two_s, nsites, backend, len(queries), f"{best:.6f}"]
-                    )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensormult",
@@ -521,14 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, help="cap the factor-count grid")
     p.add_argument("--output", help="write to this path instead of stdout")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="time the lattice and polynomial backends")
-    p.add_argument("--r", default="1,2,3")
-    p.add_argument("--twoS", default="1,2")
-    p.add_argument("--L", default="4,6")
-    p.add_argument("--repeat", type=int, default=3)
-    p.add_argument("--output", help="write CSV to this path instead of stdout")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

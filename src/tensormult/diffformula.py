@@ -19,7 +19,6 @@ from .partitions import (
 )
 from .weyl import (
     SignedExpansion,
-    SubalgebraSpec,
     SuperRootSubset,
     weyl_denominator_ar,
     weyl_denominator_subalgebra,
@@ -37,12 +36,20 @@ def apply_shift(expansion: SignedExpansion, c_eval, m_vec) -> int:
     return total
 
 
+def _shift_sum(expansion: SignedExpansion, m_vec, spins, shape, backend) -> int:
+    """The denominator applied to the occupancy counts in hook variables of `shape`."""
+    return apply_shift(
+        expansion,
+        lambda mv: occupancy.hook_coefficient(mv, spins, shape, backend),
+        m_vec,
+    )
+
+
 def multiplicity_from_m(m_vec, spins, backend: str = "poly") -> int:
     """Multiplicity at a weight vector, for the full algebra of rank len(m_vec)."""
-    spins = occupancy.spin_tuple(spins)
-    expansion = weyl_denominator_ar(len(m_vec))
-    return apply_shift(
-        expansion, lambda mv: occupancy.occupancy_coefficient(mv, spins, backend), m_vec
+    rank = len(m_vec)
+    return _shift_sum(
+        weyl_denominator_ar(rank), m_vec, occupancy.spin_tuple(spins), (rank + 1, 0), backend
     )
 
 
@@ -55,17 +62,15 @@ def multiplicity(lam, spins, rank: int, backend: str = "poly") -> int:
 
 
 def branching_multiplicity_from_m(
-    m_vec, spec: SubalgebraSpec, spins, backend: str = "poly"
+    m_vec, spec: SuperRootSubset, spins, backend: str = "poly"
 ) -> int:
     """Restriction multiplicity at an ambient weight vector.
 
     The empty spec returns the bare occupancy count; the full spec reduces to
     the ordinary multiplicity.
     """
-    spins = occupancy.spin_tuple(spins)
-    expansion = weyl_denominator_subalgebra(spec)
-    return apply_shift(
-        expansion, lambda mv: occupancy.occupancy_coefficient(mv, spins, backend), m_vec
+    return _shift_sum(
+        weyl_denominator_subalgebra(spec), m_vec, occupancy.spin_tuple(spins), spec.shape, backend
     )
 
 
@@ -85,29 +90,22 @@ def ambient_rows_to_m(rows, rank: int, two_sl: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def branching_weight_from_m(m_vec, spec: SubalgebraSpec, two_sl: int):
+def branching_weight_from_m(m_vec, spec: SuperRootSubset, two_sl: int):
     """Per-component diagrams and torus charges of an ambient weight vector.
 
     Returns (diagrams, charges) aligned with spec.components and spec.abelian,
     or None when some component's extracted rows do not weakly decrease (the
     vector then labels no highest weight for the subalgebra).
     """
-    chain = (two_sl,) + tuple(m_vec) + (0,)
-    rows = [chain[i] - chain[i + 1] for i in range(len(chain) - 1)]
-    if any(x < 0 for x in rows):
+    label = _subset_labels(m_vec, spec, two_sl)
+    if label is None:
         return None
-    diagrams = []
-    for comp in spec.components:
-        extracted = tuple(rows[i - 1] for i in comp)
-        if any(extracted[k] < extracted[k + 1] for k in range(len(extracted) - 1)):
-            return None
-        diagrams.append(extracted)
-    charges = tuple(rows[i - 1] for i in spec.abelian)
-    return tuple(diagrams), charges
+    diagrams, charges = label
+    return tuple(lam for _, lam in diagrams), tuple(value for _, value in charges)
 
 
 def branching_multiplicity(
-    diagrams, charges, spec: SubalgebraSpec, spins, backend: str = "poly"
+    diagrams, charges, spec: SuperRootSubset, spins, backend: str = "poly"
 ) -> int:
     """Restriction multiplicity for explicit per-component diagrams and charges.
 
@@ -145,11 +143,7 @@ def super_multiplicity_from_m(
     """
     m_vec = tuple(m_vec)
     expansion = weyl_denominator_super(shape, _nonneg(m_vec))
-    return apply_shift(
-        expansion,
-        lambda mv: occupancy.super_occupancy_coefficient(mv, two_s, nsites, shape, backend),
-        m_vec,
-    )
+    return _shift_sum(expansion, m_vec, occupancy.hook_spins(two_s, nsites), shape, backend)
 
 
 def super_multiplicity(
@@ -167,53 +161,25 @@ def super_branching_multiplicity_from_m(
     """Conjectured restriction multiplicity to a closed hook root subset."""
     m_vec = tuple(m_vec)
     expansion = weyl_denominator_super_subalgebra(sub, _nonneg(m_vec))
-    return apply_shift(
-        expansion,
-        lambda mv: occupancy.super_occupancy_coefficient(
-            mv, two_s, nsites, sub.shape, backend
-        ),
-        m_vec,
-    )
+    return _shift_sum(expansion, m_vec, occupancy.hook_spins(two_s, nsites), sub.shape, backend)
 
 
-def _label_groups(nlabels: int, roots):
-    """Connected groups of 1..nlabels under the root edges, sorted by least label."""
-    parent = list(range(nlabels + 1))
+def _subset_labels(m_vec, sub: SuperRootSubset, total: int):
+    """Sub-diagram and charge labels of an ambient weight vector of degree total.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in roots:
-        parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for label in range(1, nlabels + 1):
-        groups.setdefault(find(label), []).append(label)
-    return sorted(tuple(sorted(g)) for g in groups.values())
-
-
-def super_branching_weight_from_m(m_vec, sub: SuperRootSubset, two_s: int, nsites: int):
-    """Sub-diagram and charge labels of an ambient hook weight vector.
-
-    Each connected label group of the subset is a smaller algebra on its own
-    labels; its diagram is assembled from the ambient row values (ordinary
-    rows for even labels, conjugated columns for odd ones).  Returns
-    (diagrams, charges), each a list of (labels, data) pairs, or None when a
-    group's data labels no highest weight.
+    Each component of the subset is a smaller algebra on its own labels; its
+    diagram is assembled from the ambient row values (ordinary rows for even
+    labels, conjugated columns for odd ones).  Returns (diagrams, charges),
+    each a list of (labels, data) pairs, or None when a component's data
+    labels no highest weight.
     """
-    m, n = sub.shape
-    chain = (two_s * nsites,) + tuple(m_vec) + (0,)
+    m, _ = sub.shape
+    chain = (total,) + tuple(m_vec) + (0,)
     values = [chain[i] - chain[i + 1] for i in range(len(chain) - 1)]
     if any(v < 0 for v in values):
         return None
     diagrams = []
-    charges = []
-    for g in _label_groups(m + n, sub.roots):
-        if len(g) == 1:
-            charges.append((g[0], values[g[0] - 1]))
-            continue
+    for g in sub.components:
         x_rows = tuple(values[a - 1] for a in g if a <= m)
         y_cols = tuple(values[a - 1] for a in g if a > m)
         if not y_cols or not x_rows:
@@ -234,7 +200,12 @@ def super_branching_weight_from_m(m_vec, sub: SuperRootSubset, two_s: int, nsite
         except NonStandardWeight:
             return None
         diagrams.append((g, lam))
-    return diagrams, charges
+    return diagrams, [(a, values[a - 1]) for a in sub.abelian]
+
+
+def super_branching_weight_from_m(m_vec, sub: SuperRootSubset, two_s: int, nsites: int):
+    """Sub-diagram and charge labels of an ambient hook weight vector (see _subset_labels)."""
+    return _subset_labels(m_vec, sub, two_s * nsites)
 
 
 def even_branching_multiplicity(

@@ -1,6 +1,11 @@
 """Restricted occupancy counts: coefficients of monomials in products of
 one-row characters, for ordinary and hook variables.
 
+There is one implementation, in hook variables of shape (m, n): the ordinary
+rank-r count is the shape (r + 1, 0), because at n = 0 the one-row hook
+character is the complete homogeneous polynomial in m variables
+(Berele-Regev 1987).
+
 Two interchangeable backends are provided.  The lattice backend recurses over
 sites, assigning each site a weakly decreasing column profile bounded by its
 degree (hook variables additionally cap the trailing gaps at one box), with
@@ -13,7 +18,7 @@ count zero, so signed shift sums are total functions.
 from collections import Counter
 from functools import cache
 
-from .sympoly import SparsePoly, complete_homogeneous, hook_schur
+from .sympoly import SparsePoly, hook_schur
 
 BACKENDS = ("dp", "poly")
 
@@ -47,8 +52,13 @@ def standard_m_vectors(rank: int, two_sl: int):
 
 
 @cache
-def _site_profiles(two_s: int, length: int) -> tuple[tuple[int, ...], ...]:
-    """Weakly decreasing column profiles of one site, entries bounded by its degree."""
+def _site_profiles(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Weakly decreasing column profiles of one site, entries bounded by its degree.
+
+    Hook variables of shape (m, n) also cap the gaps in the last n positions
+    at one box, so the ordinary shape (rank + 1, 0) has no cap.
+    """
+    m, n = shape
 
     def rec(prefix, cap, slots):
         if slots == 0:
@@ -57,36 +67,26 @@ def _site_profiles(two_s: int, length: int) -> tuple[tuple[int, ...], ...]:
         for value in range(cap, -1, -1):
             yield from rec(prefix + (value,), value, slots - 1)
 
-    return tuple(rec((), two_s, length))
-
-
-@cache
-def _super_site_profiles(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Site profiles for hook variables: gaps in the last n positions hold 0 or 1 boxes."""
-    m, n = shape
-    out = []
-    for p in _site_profiles(two_s, m + n - 1):
+    def capped(p):
         chain = p + (0,)
-        if all(chain[j] - chain[j + 1] <= 1 for j in range(m - 1, m + n - 1)):
-            out.append(p)
-    return tuple(out)
+        return all(chain[j] - chain[j + 1] <= 1 for j in range(m - 1, m + n - 1))
+
+    return tuple(p for p in rec((), two_s, m + n - 1) if capped(p))
 
 
 @cache
-def _power_poly(spins: tuple[int, ...], nvars: int) -> SparsePoly:
-    result = SparsePoly.one(nvars)
+def _power_poly(spins: tuple[int, ...], shape: tuple[int, int]) -> SparsePoly:
+    """Product of the one-row hook characters of the sites, one power per distinct degree."""
+    result = SparsePoly.one(sum(shape))
     for two_s, count in sorted(Counter(spins).items()):
-        result = result * complete_homogeneous(two_s, nvars) ** count
+        result = result * hook_schur((two_s,), shape) ** count
     return result
 
 
 @cache
-def _super_power_poly(two_s: int, nsites: int, shape: tuple[int, int]) -> SparsePoly:
-    return hook_schur((two_s,) if two_s else (), shape) ** nsites
-
-
-@cache
-def _lattice_count(spins: tuple[int, ...], residual: tuple[int, ...]) -> int:
+def _lattice_count(
+    spins: tuple[int, ...], shape: tuple[int, int], residual: tuple[int, ...]
+) -> int:
     if any(x < 0 for x in residual):
         return 0
     if not spins:
@@ -94,27 +94,62 @@ def _lattice_count(spins: tuple[int, ...], residual: tuple[int, ...]) -> int:
     if residual and max(residual) > sum(spins):
         return 0
     return sum(
-        _lattice_count(spins[1:], tuple(a - b for a, b in zip(residual, p)))
-        for p in _site_profiles(spins[0], len(residual))
+        _lattice_count(spins[1:], shape, tuple(a - b for a, b in zip(residual, p)))
+        for p in _site_profiles(spins[0], shape)
     )
 
 
-@cache
-def _super_lattice_count(
-    two_s: int, nsites: int, shape: tuple[int, int], residual: tuple[int, ...]
-) -> int:
-    if any(x < 0 for x in residual):
+def hook_coefficient(m_vec, spins, shape: tuple[int, int], backend: str = "poly") -> int:
+    """Count at a weight vector in hook variables of shape (m, n), unvalidated.
+
+    The ordinary rank-r count is the shape (r + 1, 0).  Total function:
+    out-of-range weights give 0.
+    """
+    exps = exponent_vector(m_vec, sum(spins))
+    if exps is None:
         return 0
-    if nsites == 0:
-        return 1 if not any(residual) else 0
-    if residual and max(residual) > two_s * nsites:
-        return 0
-    return sum(
-        _super_lattice_count(
-            two_s, nsites - 1, shape, tuple(a - b for a, b in zip(residual, p))
-        )
-        for p in _super_site_profiles(two_s, shape)
-    )
+    if backend == "poly":
+        return _power_poly(spins, shape).coefficient(exps)
+    if backend == "dp":
+        return _lattice_count(spins, shape, tuple(m_vec))
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def hook_table(
+    spins, shape: tuple[int, int], backend: str = "poly"
+) -> dict[tuple[int, ...], int]:
+    """Every weight vector with a nonzero count in hook variables of shape (m, n).
+
+    The lattice backend builds the whole table in one forward pass over sites;
+    the polynomial backend reads the table off the expanded product.
+    """
+    rank = sum(shape) - 1
+    if backend == "poly":
+        poly = _power_poly(spins, shape)
+        return {
+            tuple(sum(e[j:]) for j in range(1, rank + 1)): c
+            for e, c in poly.terms.items()
+        }
+    if backend == "dp":
+        acc = {(0,) * rank: 1}
+        for two_s in spins:
+            nxt = {}
+            for partial, count in acc.items():
+                for p in _site_profiles(two_s, shape):
+                    key = tuple(a + b for a, b in zip(partial, p))
+                    nxt[key] = nxt.get(key, 0) + count
+            acc = nxt
+        return acc
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def hook_spins(two_s: int, nsites: int) -> tuple[int, ...]:
+    """Site degrees of the nsites-th power of the degree-two_s one-row module."""
+    if two_s < 0:
+        raise ValueError(f"two_s must be nonnegative, got {two_s}")
+    if nsites < 0:
+        raise ValueError(f"nsites must be nonnegative, got {nsites}")
+    return (int(two_s),) * int(nsites)
 
 
 def occupancy_coefficient(m_vec, spins, backend: str = "poly") -> int:
@@ -124,16 +159,8 @@ def occupancy_coefficient(m_vec, spins, backend: str = "poly") -> int:
     (total - M_1, M_1 - M_2, ..., M_r) in the product of one-row characters
     in rank + 1 variables.  Total function: out-of-range weights give 0.
     """
-    spins = spin_tuple(spins)
     m_vec = tuple(m_vec)
-    exps = exponent_vector(m_vec, sum(spins))
-    if exps is None:
-        return 0
-    if backend == "poly":
-        return _power_poly(spins, len(m_vec) + 1).coefficient(exps)
-    if backend == "dp":
-        return _lattice_count(spins, m_vec)
-    raise ValueError(f"unknown backend {backend!r}")
+    return hook_coefficient(m_vec, spin_tuple(spins), (len(m_vec) + 1, 0), backend)
 
 
 def super_occupancy_coefficient(
@@ -144,63 +171,19 @@ def super_occupancy_coefficient(
     m_vec = tuple(m_vec)
     if len(m_vec) != m + n - 1:
         raise ValueError(f"expected {m + n - 1} entries for shape {shape}")
-    exps = exponent_vector(m_vec, two_s * nsites)
-    if exps is None:
-        return 0
-    if backend == "poly":
-        return _super_power_poly(two_s, nsites, shape).coefficient(exps)
-    if backend == "dp":
-        return _super_lattice_count(two_s, nsites, shape, m_vec)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _suffix_sums(exps, rank):
-    return tuple(sum(exps[j:]) for j in range(1, rank + 1))
+    return hook_coefficient(m_vec, hook_spins(two_s, nsites), shape, backend)
 
 
 def occupancy_table(spins, rank: int, backend: str = "poly") -> dict[tuple[int, ...], int]:
-    """Every standard weight vector with a nonzero count.
-
-    The lattice backend builds the whole table in one forward pass over sites;
-    the polynomial backend reads the table off the expanded power.
-    """
-    spins = spin_tuple(spins)
-    if backend == "poly":
-        poly = _power_poly(spins, rank + 1)
-        return {_suffix_sums(e, rank): c for e, c in poly.terms.items()}
-    if backend == "dp":
-        acc = {(0,) * rank: 1}
-        for two_s in spins:
-            nxt = {}
-            for partial, count in acc.items():
-                for p in _site_profiles(two_s, rank):
-                    key = tuple(a + b for a, b in zip(partial, p))
-                    nxt[key] = nxt.get(key, 0) + count
-            acc = nxt
-        return acc
-    raise ValueError(f"unknown backend {backend!r}")
+    """Every standard weight vector with a nonzero count."""
+    return hook_table(spin_tuple(spins), (rank + 1, 0), backend)
 
 
 def super_occupancy_table(
     two_s: int, nsites: int, shape: tuple[int, int], backend: str = "poly"
 ) -> dict[tuple[int, ...], int]:
     """Every weight vector of the hook power with a nonzero count."""
-    m, n = shape
-    rank = m + n - 1
-    if backend == "poly":
-        poly = _super_power_poly(two_s, nsites, shape)
-        return {_suffix_sums(e, rank): c for e, c in poly.terms.items()}
-    if backend == "dp":
-        acc = {(0,) * rank: 1}
-        for _ in range(nsites):
-            nxt = {}
-            for partial, count in acc.items():
-                for p in _super_site_profiles(two_s, shape):
-                    key = tuple(a + b for a, b in zip(partial, p))
-                    nxt[key] = nxt.get(key, 0) + count
-            acc = nxt
-        return acc
-    raise ValueError(f"unknown backend {backend!r}")
+    return hook_table(hook_spins(two_s, nsites), shape, backend)
 
 
 def symmetry_violations(spins, rank: int, backend: str = "poly") -> list[dict]:
@@ -231,13 +214,3 @@ def symmetry_violations(spins, rank: int, backend: str = "poly") -> list[dict]:
                     }
                 )
     return violations
-
-
-def clear_caches():
-    """Drop all memoized state (used by benchmarks for cold-cache timings)."""
-    _site_profiles.cache_clear()
-    _super_site_profiles.cache_clear()
-    _power_poly.cache_clear()
-    _super_power_poly.cache_clear()
-    _lattice_count.cache_clear()
-    _super_lattice_count.cache_clear()

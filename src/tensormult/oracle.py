@@ -24,7 +24,7 @@ def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
     """
     spins = spin_tuple(spins)
     nvars = rank + 1
-    poly = vandermonde(nvars) * _power_poly(spins, nvars)
+    poly = vandermonde(nvars) * _power_poly(spins, (nvars, 0))
     out = {}
     for expv, coeff in poly.terms.items():
         # strictly decreasing staircase-shifted exponents <=> weakly decreasing rows

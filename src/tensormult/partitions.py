@@ -30,10 +30,6 @@ def is_partition(parts) -> bool:
     return all(x >= 0 for x in p) and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
 
 
-def size(lam) -> int:
-    return sum(lam)
-
-
 def conjugate(lam) -> tuple[int, ...]:
     """Transpose of the diagram (column lengths); an involution."""
     lam = partition(lam)

@@ -36,10 +36,6 @@ class SparsePoly:
         return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def monomial(cls, expv, coeff=1):
-        return cls(len(expv), {tuple(expv): coeff})
-
-    @classmethod
     def variable(cls, index, nvars):
         expv = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {expv: 1})

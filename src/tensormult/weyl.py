@@ -24,20 +24,12 @@ class SignedExpansion:
 
     rank: int
     terms: tuple[tuple[int, tuple[int, ...]], ...]
-    bound: tuple[int, ...] | None = None
 
     def __len__(self):
         return len(self.terms)
 
     def as_poly(self) -> SparsePoly:
         return SparsePoly(self.rank, {shift: coeff for coeff, shift in self.terms})
-
-
-def _collect(terms: dict, rank: int, bound=None) -> SignedExpansion:
-    cleaned = tuple(
-        (c, e) for e, c in sorted(terms.items()) if c
-    )
-    return SignedExpansion(rank, cleaned, bound)
 
 
 def _expand(factors, rank: int, bound=None) -> SignedExpansion:
@@ -51,7 +43,7 @@ def _expand(factors, rank: int, bound=None) -> SignedExpansion:
                     continue
                 nxt[e] = nxt.get(e, 0) + c1 * c2
         acc = {e: c for e, c in nxt.items() if c}
-    return _collect(acc, rank, bound)
+    return SignedExpansion(rank, tuple((c, e) for e, c in sorted(acc.items())))
 
 
 def root_shift(root: tuple[int, int], rank: int) -> tuple[int, ...]:
@@ -66,40 +58,9 @@ def positive_roots(rank: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 2))
 
 
-@cache
-def weyl_denominator_ar(rank: int) -> SignedExpansion:
-    """Exact expansion of the product of (1 - t^root) over all positive roots.
-
-    Collects to (rank + 1)! signed unit terms, one per permutation.
-    """
-    zero = (0,) * rank
-    factors = [
-        ((1, zero), (-1, root_shift(root, rank))) for root in positive_roots(rank)
-    ]
-    return _expand(factors, rank)
-
-
-@dataclass(frozen=True)
-class SubalgebraSpec:
-    """Connected label groups (each an A-type factor) plus leftover torus labels."""
-
-    rank: int
-    components: tuple[tuple[int, ...], ...]
-    abelian: tuple[int, ...] = field(default=())
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.components) == 1 and len(self.components[0]) == self.rank + 1
-
-
-def close_root_subset(roots, rank: int) -> SubalgebraSpec:
-    """Minimal enhancement of a root subset to a direct sum of A-type factors.
-
-    Pairs are edges on the labels 1..rank+1; each connected component with at
-    least two labels becomes one factor, carrying every root between its
-    labels; remaining labels stay abelian.
-    """
-    parent = list(range(rank + 2))
+def label_groups(nlabels: int, roots) -> tuple[tuple[int, ...], ...]:
+    """Connected groups of the labels 1..nlabels under the root edges, by least label."""
+    parent = list(range(nlabels + 1))
 
     def find(a):
         while parent[a] != a:
@@ -108,43 +69,76 @@ def close_root_subset(roots, rank: int) -> SubalgebraSpec:
         return a
 
     for i, j in roots:
-        if not (1 <= i < j <= rank + 1):
-            raise ValueError(f"invalid root pair {(i, j)} for rank {rank}")
         parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for label in range(1, rank + 2):
+    for label in range(1, nlabels + 1):
         groups.setdefault(find(label), []).append(label)
-    components = tuple(
-        tuple(sorted(g)) for g in sorted(groups.values()) if len(g) >= 2
-    )
-    abelian = tuple(sorted(g[0] for g in groups.values() if len(g) == 1))
-    return SubalgebraSpec(rank, components, abelian)
+    return tuple(sorted(tuple(g) for g in groups.values()))
 
 
-def full_subalgebra(rank: int) -> SubalgebraSpec:
-    return SubalgebraSpec(rank, (tuple(range(1, rank + 2)),), ())
+@dataclass(frozen=True)
+class SuperRootSubset:
+    """Subset of positive roots of the (m, n) hook algebra, split by parity on demand.
+
+    The ordinary rank-r algebra is the shape (r + 1, 0), where every root is
+    even.  Labels joined through the roots form groups: each group of two or
+    more labels is a component (one A-type or hook factor), and the leftover
+    single labels stay abelian.
+    """
+
+    shape: tuple[int, int]
+    roots: tuple[tuple[int, int], ...]
+    rank: int = field(init=False, compare=False)
+    components: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    abelian: tuple[int, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        m, n = self.shape
+        for i, j in self.roots:
+            if not (1 <= i < j <= m + n):
+                raise ValueError(f"invalid root pair {(i, j)} for shape {self.shape}")
+        object.__setattr__(self, "roots", tuple(sorted(set(self.roots))))
+        groups = label_groups(m + n, self.roots)
+        object.__setattr__(self, "rank", m + n - 1)
+        object.__setattr__(self, "components", tuple(g for g in groups if len(g) >= 2))
+        object.__setattr__(self, "abelian", tuple(g[0] for g in groups if len(g) == 1))
+
+    def parity_split(self):
+        m, _ = self.shape
+        even = tuple(r for r in self.roots if not (r[0] <= m < r[1]))
+        odd = tuple(r for r in self.roots if r[0] <= m < r[1])
+        return even, odd
+
+    def is_closed(self) -> bool:
+        """Every pair of labels joined through the subset must be joined directly."""
+        return set(subalgebra_positive_roots(self)) <= set(self.roots)
 
 
-def torus_subalgebra(rank: int) -> SubalgebraSpec:
-    return SubalgebraSpec(rank, (), tuple(range(1, rank + 2)))
-
-
-def subalgebra_positive_roots(spec: SubalgebraSpec) -> tuple[tuple[int, int], ...]:
+def subalgebra_positive_roots(spec: SuperRootSubset) -> tuple[tuple[int, int], ...]:
+    """Every root between the labels of each component."""
     roots = []
     for comp in spec.components:
         roots.extend(combinations(comp, 2))
     return tuple(roots)
 
 
-@cache
-def weyl_denominator_subalgebra(spec: SubalgebraSpec) -> SignedExpansion:
-    """Product of the factor denominators, written in the ambient variables."""
-    zero = (0,) * spec.rank
-    factors = [
-        ((1, zero), (-1, root_shift(root, spec.rank)))
-        for root in subalgebra_positive_roots(spec)
-    ]
-    return _expand(factors, spec.rank)
+def close_root_subset(roots, rank: int) -> SuperRootSubset:
+    """Minimal enhancement of a root subset to a direct sum of A-type factors.
+
+    Pairs are edges on the labels 1..rank+1; each connected component with at
+    least two labels becomes one factor, carrying every root between its
+    labels; remaining labels stay abelian.
+    """
+    spec = SuperRootSubset((rank + 1, 0), roots)
+    return SuperRootSubset(spec.shape, subalgebra_positive_roots(spec))
+
+
+def full_subalgebra(rank: int) -> SuperRootSubset:
+    return SuperRootSubset((rank + 1, 0), positive_roots(rank))
+
+
+def torus_subalgebra(rank: int) -> SuperRootSubset:
+    return SuperRootSubset((rank + 1, 0), ())
 
 
 def super_positive_roots(shape: tuple[int, int]):
@@ -171,59 +165,47 @@ def _alternating_factor(shift, bound):
     )
 
 
+def _even_factor(root, rank):
+    """Expansion of 1 - t^root."""
+    return ((1, (0,) * rank), (-1, root_shift(root, rank)))
+
+
+def _denominator(rank: int, even, odd, bound) -> SignedExpansion:
+    """Expansion of prod_even(1 - t^a) / prod_odd(1 + t^a), odd series truncated to bound.
+
+    Without odd roots the expansion is an exact polynomial that ignores the
+    bound; it is cached per root set, because a table reuses one expansion
+    for every label (the A7 one has 40,320 terms).
+    """
+    if not odd:
+        return _even_denominator(rank, tuple(even))
+    factors = [_even_factor(r, rank) for r in even]
+    factors += [_alternating_factor(root_shift(r, rank), bound) for r in odd]
+    return _expand(factors, rank, bound)
+
+
+@cache
+def _even_denominator(rank: int, even: tuple[tuple[int, int], ...]) -> SignedExpansion:
+    return _expand([_even_factor(r, rank) for r in even], rank)
+
+
+def weyl_denominator_ar(rank: int) -> SignedExpansion:
+    """Exact expansion of the product of (1 - t^root) over all positive roots.
+
+    Collects to (rank + 1)! signed unit terms, one per permutation.
+    """
+    return _denominator(rank, positive_roots(rank), (), None)
+
+
+def weyl_denominator_subalgebra(spec: SuperRootSubset) -> SignedExpansion:
+    """Product of the factor denominators, written in the ambient variables."""
+    return _denominator(spec.rank, *spec.parity_split(), None)
+
+
 def weyl_denominator_super(shape: tuple[int, int], bound) -> SignedExpansion:
     """Expansion of prod_even(1 - t^a) / prod_odd(1 + t^a), truncated to bound."""
-    m, n = shape
-    rank = m + n - 1
-    bound = _check_bound(bound, rank)
-    even, odd = super_positive_roots(shape)
-    zero = (0,) * rank
-    factors = [((1, zero), (-1, root_shift(r, rank))) for r in even]
-    factors += [_alternating_factor(root_shift(r, rank), bound) for r in odd]
-    return _expand(factors, rank, bound if odd else None)
-
-
-@dataclass(frozen=True)
-class SuperRootSubset:
-    """Subset of positive roots of the (m, n) hook algebra, split by parity on demand."""
-
-    shape: tuple[int, int]
-    roots: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        m, n = self.shape
-        for i, j in self.roots:
-            if not (1 <= i < j <= m + n):
-                raise ValueError(f"invalid root pair {(i, j)} for shape {self.shape}")
-        object.__setattr__(self, "roots", tuple(sorted(set(self.roots))))
-
-    def parity_split(self):
-        m, _ = self.shape
-        even = tuple(r for r in self.roots if not (r[0] <= m < r[1]))
-        odd = tuple(r for r in self.roots if r[0] <= m < r[1])
-        return even, odd
-
-    def is_closed(self) -> bool:
-        """Every pair of labels joined through the subset must be joined directly."""
-        m, n = self.shape
-        parent = list(range(m + n + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i, j in self.roots:
-            parent[find(i)] = find(j)
-        groups: dict[int, set[int]] = {}
-        for label in range(1, m + n + 1):
-            groups.setdefault(find(label), set()).add(label)
-        present = set(self.roots)
-        for group in groups.values():
-            if any(pair not in present for pair in combinations(sorted(group), 2)):
-                return False
-        return True
+    rank = shape[0] + shape[1] - 1
+    return _denominator(rank, *super_positive_roots(shape), _check_bound(bound, rank))
 
 
 def weyl_denominator_super_subalgebra(sub: SuperRootSubset, bound) -> SignedExpansion:
@@ -233,14 +215,7 @@ def weyl_denominator_super_subalgebra(sub: SuperRootSubset, bound) -> SignedExpa
             f"root subset {sub.roots} is not bracket-closed; add the missing "
             f"roots between connected labels"
         )
-    m, n = sub.shape
-    rank = m + n - 1
-    bound = _check_bound(bound, rank)
-    even, odd = sub.parity_split()
-    zero = (0,) * rank
-    factors = [((1, zero), (-1, root_shift(r, rank))) for r in even]
-    factors += [_alternating_factor(root_shift(r, rank), bound) for r in odd]
-    return _expand(factors, rank, bound if odd else None)
+    return _denominator(sub.rank, *sub.parity_split(), _check_bound(bound, sub.rank))
 
 
 def parse_root(token: str, shape: tuple[int, int] | None = None) -> tuple[int, int]:

@@ -131,17 +131,6 @@ def test_verify_suite(capsys):
     assert out == "symmetry: 0 violations\n"
 
 
-def test_bench_csv(capsys):
-    status, out = run_cli(
-        capsys, "bench", "--r", "1", "--twoS", "1", "--L", "3", "--repeat", "1",
-    )
-    assert status == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "r,twoS,L,backend,queries,seconds"
-    assert len(lines) == 3
-    assert lines[1].startswith("1,1,3,dp,") and lines[2].startswith("1,1,3,poly,")
-
-
 def test_tsv_format(capsys):
     status, out = run_cli(
         capsys, "occupancy", "--algebra", "A1", "--twoS", "1", "--L", "2",
@@ -178,6 +167,40 @@ def test_jobs_parallel_table(capsys):
     assert out == serial_out
 
 
+def test_jobs_clamped_without_starting_processes(capsys, monkeypatch):
+    import tensormult.cli as cli_mod
+
+    started = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    argv = ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "4", "--table"]
+    _, serial = run_cli(capsys, *argv, "--jobs", "1")
+    nrows = 4  # diagrams (4), (3, 1), (2, 2), (2, 1, 1)
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    for cpus, expected in ((64, nrows), (2, 2)):
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        status, out = run_cli(capsys, *argv, "--jobs", "100000")
+        assert status == 0 and out == serial
+        assert started.pop() == expected
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: None)
+    assert run_cli(capsys, *argv, "--jobs", "100000") == (0, serial)
+    assert started == []
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["multiplicity", "--algebra", "A2"])  # missing --twoS
@@ -189,6 +212,13 @@ def test_value_errors_exit_two(capsys):
                  "--lambda", "2"]) == 2
     assert main(["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "2",
                  "--lambda", "3,2,1"]) == 2  # size mismatch
+    # a tensor-factor count below one is refused, naming the flag
+    assert main(["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "-3",
+                 "--table"]) == 2
+    assert "--L" in capsys.readouterr().err
+    assert main(["super", "--shape", "2,1", "--twoS", "1", "--L", "-2",
+                 "--table"]) == 2
+    assert "--L" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -57,6 +57,15 @@ def test_multiplicity_examples():
         for two_s in (1, 2, 3):
             assert multiplicity((two_s,), (two_s,), rank) == 1
     assert multiplicity((2, 2), (2, 2), 1) == 1
+    # the ordinary algebra is the hook case with n = 0
+    for m in (2, 3):
+        for two_s in (1, 2):
+            for nsites in (1, 3, 4):
+                for m_vec in standard_m_vectors(m - 1, two_s * nsites):
+                    for backend in ("dp", "poly"):
+                        assert super_multiplicity_from_m(
+                            m_vec, two_s, nsites, (m, 0), backend
+                        ) == multiplicity_from_m(m_vec, (two_s,) * nsites, backend)
 
 
 def test_multiplicity_validation():

@@ -107,18 +107,30 @@ def test_super_coefficient_examples():
 
 
 def test_super_backends_agree():
-    for shape in ((1, 1), (2, 1), (1, 2), (2, 2)):
+    for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (2, 0), (3, 0), (4, 0)):
         for two_s in (1, 2):
             for nsites in (1, 3, 5):
-                assert super_occupancy_table(
-                    two_s, nsites, shape, "dp"
-                ) == super_occupancy_table(two_s, nsites, shape, "poly")
+                table = super_occupancy_table(two_s, nsites, shape, "dp")
+                assert table == super_occupancy_table(two_s, nsites, shape, "poly")
+                m, n = shape
+                if n == 0:
+                    # at n = 0 the hook count is the ordinary rank m - 1 count
+                    for backend in ("dp", "poly"):
+                        assert table == occupancy_table(
+                            (two_s,) * nsites, m - 1, backend
+                        )
 
 
 def test_super_zero_extension():
     for backend in ("dp", "poly"):
         assert super_occupancy_coefficient((-1,), 1, 4, (1, 1), backend) == 0
         assert super_occupancy_coefficient((1, 3), 1, 6, (2, 1), backend) == 0
+        # a negative degree or site count is an error, not an empty product
+        for two_s, nsites, name in ((-1, 4, "two_s"), (1, -2, "nsites")):
+            with pytest.raises(ValueError, match=name):
+                super_occupancy_coefficient((0,), two_s, nsites, (1, 1), backend)
+            with pytest.raises(ValueError, match=name):
+                super_occupancy_table(two_s, nsites, (1, 1), backend)
 
 
 def test_symmetry_identities_small_grid():

@@ -6,7 +6,6 @@ from tensormult.errors import InvalidTruncation, NotClosed
 from tensormult.sympoly import SparsePoly
 from tensormult.weyl import (
     SignedExpansion,
-    SubalgebraSpec,
     SuperRootSubset,
     close_root_subset,
     full_subalgebra,
