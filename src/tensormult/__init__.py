@@ -39,6 +39,7 @@ from .oracle import (
     hook_length_dimension,
     hook_schur_expansion,
     kostka,
+    matrix_count,
     schur_expansion,
     schur_expansion_pieri,
     weyl_dimension,

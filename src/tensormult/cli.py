@@ -9,9 +9,7 @@ vector so repeated runs are byte-identical.
 import argparse
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import diffformula, occupancy, oracle, verify
@@ -66,24 +64,6 @@ def _parse_spins(two_s_text: str, nsites) -> tuple[int, ...]:
     if nsites is not None and nsites != len(values):
         raise ValueError(f"--L {nsites} disagrees with {len(values)} --twoS values")
     return tuple(values)
-
-
-def _default_jobs() -> int:
-    return int(os.environ.get("TENSORMULT_JOBS", "1"))
-
-
-def _map_jobs(worker, items, jobs):
-    """worker over items, in order; parallel when jobs > 1.
-
-    A process pool may start all its workers at once, so jobs is clamped to
-    the CPU count and to the number of items.
-    """
-    items = list(items)
-    jobs = min(jobs, os.cpu_count() or 1, len(items))
-    if jobs <= 1:
-        return [worker(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items, chunksize=max(1, len(items) // jobs)))
 
 
 def _label_rows(rank: int, total: int, label_of):
@@ -164,59 +144,34 @@ def _emit(doc: dict, fmt: str, out) -> None:
             )
 
 
-def _backends(choice: str):
-    return ("dp", "poly") if choice == "both" else (choice,)
-
-
 def cmd_multiplicity(args, out) -> int:
     rank = _parse_algebra(args.algebra)
     spins = _parse_spins(args.twoS, args.L)
     total = sum(spins)
     query = {"algebra": f"A{rank}", "twoS": list(spins), "L": len(spins)}
+    terms = len(weyl_denominator_ar(rank))  # refuses a too large rank up front
     if args.table:
         rows = _label_rows(rank, total, partial(lambda_from_m, two_sl=total))
-        values = {
-            backend: _map_jobs(
-                partial(diffformula.multiplicity_from_m, spins=spins, backend=backend),
-                [m_vec for m_vec, _ in rows],
-                args.jobs,
-            )
-            for backend in _backends(args.backend)
-        }
-        if len(values) == 2 and values["dp"] != values["poly"]:
-            print("backend mismatch in multiplicity table", file=sys.stderr)
-            return EXIT_MISMATCH
+        mus = [diffformula.multiplicity_from_m(m_vec, spins) for m_vec, _ in rows]
         oracle_values = (
-            oracle.schur_expansion(spins, rank) if args.check else None
+            oracle.schur_expansion_pieri(spins, rank) if args.check else None
         )
-        entries, status = _table_entries(
-            rows, values[_backends(args.backend)[0]], _lambda_fields, oracle_values
-        )
+        entries, status = _table_entries(rows, mus, _lambda_fields, oracle_values)
         _emit({"query": query, "entries": entries}, args.format, out)
         return status
     if getattr(args, "lambda") is None:
         raise ValueError("need --lambda or --table")
     lam = parse_partition(getattr(args, "lambda"))
     m_vec = m_from_lambda(lam, rank, total)
-    results = {
-        backend: str(diffformula.multiplicity_from_m(m_vec, spins, backend))
-        for backend in _backends(args.backend)
-    }
-    if len(set(results.values())) > 1:
-        print(f"backend mismatch: {results}", file=sys.stderr)
-        return EXIT_MISMATCH
-    mu = next(iter(results.values()))
+    mu = str(diffformula.multiplicity_from_m(m_vec, spins))
     doc = {
         "query": {**query, "lambda": list(lam)},
         "mu": mu,
-        "witness": {
-            "M": list(m_vec),
-            "terms": len(weyl_denominator_ar(rank)),
-        },
+        "witness": {"M": list(m_vec), "terms": terms},
     }
     status = EXIT_OK
     if args.check:
-        want = str(oracle.schur_expansion(spins, rank).get(lam, 0))
+        want = str(oracle.schur_expansion_pieri(spins, rank).get(lam, 0))
         doc["oracle"] = want
         if want != mu:
             status = EXIT_MISMATCH
@@ -238,18 +193,15 @@ def cmd_branch(args, out) -> int:
         "components": [list(c) for c in spec.components],
         "abelian": list(spec.abelian),
     }
+    terms = len(weyl_denominator_subalgebra(spec))  # refuses a too large subset up front
     if args.table:
         rows = _label_rows(
             rank, total, partial(diffformula.branching_weight_from_m, spec=spec, two_sl=total)
         )
-        mus = _map_jobs(
-            partial(
-                diffformula.branching_multiplicity_from_m,
-                spec=spec, spins=spins, backend=args.backend,
-            ),
-            [m_vec for m_vec, _ in rows],
-            args.jobs,
-        )
+        mus = [
+            diffformula.branching_multiplicity_from_m(m_vec, spec, spins)
+            for m_vec, _ in rows
+        ]
         entries, status = _table_entries(rows, mus, _branch_fields)
         _emit({"query": query, "entries": entries}, args.format, out)
         return status
@@ -257,14 +209,11 @@ def cmd_branch(args, out) -> int:
         raise ValueError("need --rows or --table")
     rows = [int(t) for t in args.rows.split(",")]
     m_vec = diffformula.ambient_rows_to_m(rows, rank, total)
-    mu = diffformula.branching_multiplicity_from_m(m_vec, spec, spins, args.backend)
+    mu = diffformula.branching_multiplicity_from_m(m_vec, spec, spins)
     doc = {
         "query": {**query, "rows": rows},
         "mu": str(mu),
-        "witness": {
-            "M": list(m_vec),
-            "terms": len(weyl_denominator_subalgebra(spec)),
-        },
+        "witness": {"M": list(m_vec), "terms": terms},
     }
     _emit(doc, args.format, out)
     return EXIT_OK
@@ -289,7 +238,7 @@ def cmd_super(args, out) -> int:
             label_of = partial(hook_from_super_m, two_sl=total, shape=shape)
             worker = partial(
                 diffformula.super_multiplicity_from_m,
-                two_s=two_s, nsites=nsites, shape=shape, backend=args.backend,
+                two_s=two_s, nsites=nsites, shape=shape,
             )
             fields = _lambda_fields
         else:
@@ -298,11 +247,11 @@ def cmd_super(args, out) -> int:
             )
             worker = partial(
                 diffformula.super_branching_multiplicity_from_m,
-                sub=sub, two_s=two_s, nsites=nsites, backend=args.backend,
+                sub=sub, two_s=two_s, nsites=nsites,
             )
             fields = _super_branch_fields
         rows = _label_rows(rank, total, label_of)
-        mus = _map_jobs(worker, [m_vec for m_vec, _ in rows], args.jobs)
+        mus = [worker(m_vec) for m_vec, _ in rows]
         oracle_values = (
             oracle.hook_schur_expansion(two_s, nsites, shape)
             if args.check and sub is None
@@ -320,14 +269,10 @@ def cmd_super(args, out) -> int:
         raise ValueError("need --lambda, --M, or --table")
     clipped = tuple(max(x, 0) for x in m_vec)
     if sub is None:
-        mu = diffformula.super_multiplicity_from_m(
-            m_vec, two_s, nsites, shape, args.backend
-        )
+        mu = diffformula.super_multiplicity_from_m(m_vec, two_s, nsites, shape)
         nterms = len(weyl_denominator_super(shape, clipped))
     else:
-        mu = diffformula.super_branching_multiplicity_from_m(
-            m_vec, sub, two_s, nsites, args.backend
-        )
+        mu = diffformula.super_branching_multiplicity_from_m(m_vec, sub, two_s, nsites)
         nterms = len(weyl_denominator_super_subalgebra(sub, clipped))
     doc = {
         "query": {**query, "M": list(m_vec)},
@@ -354,21 +299,13 @@ def cmd_occupancy(args, out) -> int:
     rank = _parse_algebra(args.algebra)
     spins = _parse_spins(args.twoS, args.L)
     if args.table:
-        tables = {
-            backend: occupancy.occupancy_table(spins, rank, backend)
-            for backend in _backends(args.backend)
-        }
-        first = _backends(args.backend)[0]
-        if len(tables) == 2 and tables["dp"] != tables["poly"]:
-            print("backend mismatch in occupancy table", file=sys.stderr)
-            return EXIT_MISMATCH
+        table = occupancy.occupancy_table(spins, rank)
         doc = {
             "r": rank,
             "twoS": list(spins),
             "L": len(spins),
             "entries": [
-                {"M": list(m_vec), "c": str(tables[first][m_vec])}
-                for m_vec in sorted(tables[first])
+                {"M": list(m_vec), "c": str(table[m_vec])} for m_vec in sorted(table)
             ],
         }
         _emit(doc, args.format, out)
@@ -376,19 +313,14 @@ def cmd_occupancy(args, out) -> int:
     if args.M is None:
         raise ValueError("need --M or --table")
     m_vec = tuple(int(t) for t in args.M.split(","))
-    values = {
-        backend: occupancy.occupancy_coefficient(m_vec, spins, backend)
-        for backend in _backends(args.backend)
-    }
-    if len(set(values.values())) > 1:
-        print(f"backend mismatch: {values}", file=sys.stderr)
-        return EXIT_MISMATCH
+    if len(m_vec) != rank:
+        raise ValueError(f"--M needs {rank} entries for A{rank}, got {len(m_vec)}")
     doc = {
         "r": rank,
         "twoS": list(spins),
         "L": len(spins),
         "M": list(m_vec),
-        "c": str(next(iter(values.values()))),
+        "c": str(occupancy.occupancy_coefficient(m_vec, spins)),
     }
     _emit(doc, args.format, out)
     return EXIT_OK
@@ -443,10 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, table=True):
         p.add_argument("--twoS", required=True, help="degree 2s, or a comma list per factor")
         p.add_argument("--L", type=int, help="number of tensor factors")
-        p.add_argument("--backend", choices=("dp", "poly", "both"), default="poly")
         p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--output", help="write to this path instead of stdout")
-        p.add_argument("--jobs", type=int, default=_default_jobs())
         if table:
             p.add_argument("--table", action="store_true", help="emit the full table")
 

@@ -36,41 +36,36 @@ def apply_shift(expansion: SignedExpansion, c_eval, m_vec) -> int:
     return total
 
 
-def _shift_sum(expansion: SignedExpansion, m_vec, spins, shape, backend) -> int:
+def _shift_sum(expansion: SignedExpansion, m_vec, spins, shape) -> int:
     """The denominator applied to the occupancy counts in hook variables of `shape`."""
-    return apply_shift(
-        expansion,
-        lambda mv: occupancy.hook_coefficient(mv, spins, shape, backend),
-        m_vec,
-    )
+    store = occupancy.hook_table(spins, shape)
+    return apply_shift(expansion, lambda mv: store.get(mv, 0), m_vec)
 
 
-def multiplicity_from_m(m_vec, spins, backend: str = "poly") -> int:
+def multiplicity_from_m(m_vec, spins) -> int:
     """Multiplicity at a weight vector, for the full algebra of rank len(m_vec)."""
     rank = len(m_vec)
     return _shift_sum(
-        weyl_denominator_ar(rank), m_vec, occupancy.spin_tuple(spins), (rank + 1, 0), backend
+        weyl_denominator_ar(rank), m_vec, occupancy.spin_tuple(spins), (rank + 1, 0)
     )
 
 
-def multiplicity(lam, spins, rank: int, backend: str = "poly") -> int:
+def multiplicity(lam, spins, rank: int) -> int:
     """Multiplicity of the irreducible labeled by lam in the product of one-row
     modules with degrees `spins`, for the rank-`rank` algebra."""
     spins = occupancy.spin_tuple(spins)
     m_vec = m_from_lambda(lam, rank, sum(spins))
-    return multiplicity_from_m(m_vec, spins, backend)
+    return multiplicity_from_m(m_vec, spins)
 
 
-def branching_multiplicity_from_m(
-    m_vec, spec: SuperRootSubset, spins, backend: str = "poly"
-) -> int:
+def branching_multiplicity_from_m(m_vec, spec: SuperRootSubset, spins) -> int:
     """Restriction multiplicity at an ambient weight vector.
 
     The empty spec returns the bare occupancy count; the full spec reduces to
     the ordinary multiplicity.
     """
     return _shift_sum(
-        weyl_denominator_subalgebra(spec), m_vec, occupancy.spin_tuple(spins), spec.shape, backend
+        weyl_denominator_subalgebra(spec), m_vec, occupancy.spin_tuple(spins), spec.shape
     )
 
 
@@ -104,9 +99,7 @@ def branching_weight_from_m(m_vec, spec: SuperRootSubset, two_sl: int):
     return tuple(lam for _, lam in diagrams), tuple(value for _, value in charges)
 
 
-def branching_multiplicity(
-    diagrams, charges, spec: SuperRootSubset, spins, backend: str = "poly"
-) -> int:
+def branching_multiplicity(diagrams, charges, spec: SuperRootSubset, spins) -> int:
     """Restriction multiplicity for explicit per-component diagrams and charges.
 
     Ambient rows are reassembled in label order before converting to the
@@ -126,7 +119,7 @@ def branching_multiplicity(
     for label, charge in zip(spec.abelian, charges):
         rows[label - 1] = int(charge)
     m_vec = ambient_rows_to_m(rows, spec.rank, two_sl)
-    return branching_multiplicity_from_m(m_vec, spec, spins, backend)
+    return branching_multiplicity_from_m(m_vec, spec, spins)
 
 
 def _nonneg(m_vec):
@@ -134,7 +127,7 @@ def _nonneg(m_vec):
 
 
 def super_multiplicity_from_m(
-    m_vec, two_s: int, nsites: int, shape: tuple[int, int], backend: str = "poly"
+    m_vec, two_s: int, nsites: int, shape: tuple[int, int]
 ) -> int:
     """Conjectured hook multiplicity at a weight vector.
 
@@ -143,25 +136,23 @@ def super_multiplicity_from_m(
     """
     m_vec = tuple(m_vec)
     expansion = weyl_denominator_super(shape, _nonneg(m_vec))
-    return _shift_sum(expansion, m_vec, occupancy.hook_spins(two_s, nsites), shape, backend)
+    return _shift_sum(expansion, m_vec, occupancy.hook_spins(two_s, nsites), shape)
 
 
-def super_multiplicity(
-    lam, two_s: int, nsites: int, shape: tuple[int, int], backend: str = "poly"
-) -> int:
+def super_multiplicity(lam, two_s: int, nsites: int, shape: tuple[int, int]) -> int:
     """Conjectured multiplicity of the hook irreducible lam in the power of the
     one-row module of degree two_s."""
     m_vec = super_m_from_hook(lam, two_s * nsites, shape)
-    return super_multiplicity_from_m(m_vec, two_s, nsites, shape, backend)
+    return super_multiplicity_from_m(m_vec, two_s, nsites, shape)
 
 
 def super_branching_multiplicity_from_m(
-    m_vec, sub: SuperRootSubset, two_s: int, nsites: int, backend: str = "poly"
+    m_vec, sub: SuperRootSubset, two_s: int, nsites: int
 ) -> int:
     """Conjectured restriction multiplicity to a closed hook root subset."""
     m_vec = tuple(m_vec)
     expansion = weyl_denominator_super_subalgebra(sub, _nonneg(m_vec))
-    return _shift_sum(expansion, m_vec, occupancy.hook_spins(two_s, nsites), sub.shape, backend)
+    return _shift_sum(expansion, m_vec, occupancy.hook_spins(two_s, nsites), sub.shape)
 
 
 def _subset_labels(m_vec, sub: SuperRootSubset, total: int):
@@ -209,7 +200,7 @@ def super_branching_weight_from_m(m_vec, sub: SuperRootSubset, two_s: int, nsite
 
 
 def even_branching_multiplicity(
-    lam, charge: int, two_s: int, nsites: int, m: int, backend: str = "poly"
+    lam, charge: int, two_s: int, nsites: int, m: int
 ) -> int:
     """Restriction multiplicity to the even block of the (m, 1) hook algebra.
 
@@ -223,4 +214,4 @@ def even_branching_multiplicity(
     if two_s < 1:
         raise ValueError("one-row degree must be at least 1")
     spins = (two_s,) * (nsites - charge) + (two_s - 1,) * charge
-    return comb(nsites, charge) * multiplicity(lam, spins, m - 1, backend)
+    return comb(nsites, charge) * multiplicity(lam, spins, m - 1)

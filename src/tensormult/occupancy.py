@@ -6,21 +6,21 @@ rank-r count is the shape (r + 1, 0), because at n = 0 the one-row hook
 character is the complete homogeneous polynomial in m variables
 (Berele-Regev 1987).
 
-Two interchangeable backends are provided.  The lattice backend recurses over
-sites, assigning each site a weakly decreasing column profile bounded by its
-degree (hook variables additionally cap the trailing gaps at one box), with
-memoization on (remaining sites, residual weight).  The polynomial backend
-powers the character and reads the coefficient off directly.  Every public
-entry point zero-extends: weight vectors whose implied exponents go negative
-count zero, so signed shift sums are total functions.
+There is one count store.  It is built by a forward pass over sites: each
+site adds a weakly decreasing column profile bounded by its degree (hook
+variables also cap the gaps in the last n positions at one box), and the
+store maps every reachable weight vector to its count.  A point query reads
+the store.  Every public entry point zero-extends: weight vectors whose
+implied exponents go negative, or that the store never reaches, count zero,
+so signed shift sums are total functions.  The independent check of these
+counts is `oracle.matrix_count`, which shares no code or cache with this
+module.
 """
 
-from collections import Counter
-from functools import cache
-
-from .sympoly import SparsePoly, hook_schur
-
-BACKENDS = ("dp", "poly")
+from collections.abc import Mapping
+from functools import cache, lru_cache
+from operator import add
+from types import MappingProxyType
 
 
 def spin_tuple(spins) -> tuple[int, ...]:
@@ -29,13 +29,6 @@ def spin_tuple(spins) -> tuple[int, ...]:
     if any(x < 0 for x in out):
         raise ValueError(f"negative site degree in {out}")
     return out
-
-
-def exponent_vector(m_vec, total: int) -> tuple[int, ...] | None:
-    """Monomial exponents (total - M_1, M_1 - M_2, ..., M_r); None when any is negative."""
-    chain = (total,) + tuple(m_vec) + (0,)
-    exps = tuple(chain[i] - chain[i + 1] for i in range(len(chain) - 1))
-    return None if any(e < 0 for e in exps) else exps
 
 
 def standard_m_vectors(rank: int, two_sl: int):
@@ -74,73 +67,35 @@ def _site_profiles(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...],
     return tuple(p for p in rec((), two_s, m + n - 1) if capped(p))
 
 
-@cache
-def _power_poly(spins: tuple[int, ...], shape: tuple[int, int]) -> SparsePoly:
-    """Product of the one-row hook characters of the sites, one power per distinct degree."""
-    result = SparsePoly.one(sum(shape))
-    for two_s, count in sorted(Counter(spins).items()):
-        result = result * hook_schur((two_s,), shape) ** count
-    return result
+@lru_cache(maxsize=1)
+def hook_table(spins, shape: tuple[int, int]) -> Mapping[tuple[int, ...], int]:
+    """The count store: every weight vector with a nonzero count in hook
+    variables of shape (m, n), built in one forward pass over sites.
+
+    Only the most recent (spins, shape) is kept, because every caller reads
+    one store at a time.  Every caller gets the same store, so it comes back
+    read-only.
+    """
+    acc = {(0,) * (sum(shape) - 1): 1}
+    # largest degrees first: the widest passes then meet the fewest profiles
+    for two_s in sorted(spins, reverse=True):
+        profiles = _site_profiles(two_s, shape)
+        nxt = {}
+        for partial, count in acc.items():
+            for p in profiles:
+                key = tuple(map(add, partial, p))
+                nxt[key] = nxt.get(key, 0) + count
+        acc = nxt
+    return MappingProxyType(acc)
 
 
-@cache
-def _lattice_count(
-    spins: tuple[int, ...], shape: tuple[int, int], residual: tuple[int, ...]
-) -> int:
-    if any(x < 0 for x in residual):
-        return 0
-    if not spins:
-        return 1 if not any(residual) else 0
-    if residual and max(residual) > sum(spins):
-        return 0
-    return sum(
-        _lattice_count(spins[1:], shape, tuple(a - b for a, b in zip(residual, p)))
-        for p in _site_profiles(spins[0], shape)
-    )
-
-
-def hook_coefficient(m_vec, spins, shape: tuple[int, int], backend: str = "poly") -> int:
+def hook_coefficient(m_vec, spins, shape: tuple[int, int]) -> int:
     """Count at a weight vector in hook variables of shape (m, n), unvalidated.
 
     The ordinary rank-r count is the shape (r + 1, 0).  Total function:
     out-of-range weights give 0.
     """
-    exps = exponent_vector(m_vec, sum(spins))
-    if exps is None:
-        return 0
-    if backend == "poly":
-        return _power_poly(spins, shape).coefficient(exps)
-    if backend == "dp":
-        return _lattice_count(spins, shape, tuple(m_vec))
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def hook_table(
-    spins, shape: tuple[int, int], backend: str = "poly"
-) -> dict[tuple[int, ...], int]:
-    """Every weight vector with a nonzero count in hook variables of shape (m, n).
-
-    The lattice backend builds the whole table in one forward pass over sites;
-    the polynomial backend reads the table off the expanded product.
-    """
-    rank = sum(shape) - 1
-    if backend == "poly":
-        poly = _power_poly(spins, shape)
-        return {
-            tuple(sum(e[j:]) for j in range(1, rank + 1)): c
-            for e, c in poly.terms.items()
-        }
-    if backend == "dp":
-        acc = {(0,) * rank: 1}
-        for two_s in spins:
-            nxt = {}
-            for partial, count in acc.items():
-                for p in _site_profiles(two_s, shape):
-                    key = tuple(a + b for a, b in zip(partial, p))
-                    nxt[key] = nxt.get(key, 0) + count
-            acc = nxt
-        return acc
-    raise ValueError(f"unknown backend {backend!r}")
+    return hook_table(spins, shape).get(tuple(m_vec), 0)
 
 
 def hook_spins(two_s: int, nsites: int) -> tuple[int, ...]:
@@ -152,7 +107,7 @@ def hook_spins(two_s: int, nsites: int) -> tuple[int, ...]:
     return (int(two_s),) * int(nsites)
 
 
-def occupancy_coefficient(m_vec, spins, backend: str = "poly") -> int:
+def occupancy_coefficient(m_vec, spins) -> int:
     """Number of nested box assignments with column totals m_vec.
 
     Equivalently the coefficient of the monomial with exponents
@@ -160,33 +115,33 @@ def occupancy_coefficient(m_vec, spins, backend: str = "poly") -> int:
     in rank + 1 variables.  Total function: out-of-range weights give 0.
     """
     m_vec = tuple(m_vec)
-    return hook_coefficient(m_vec, spin_tuple(spins), (len(m_vec) + 1, 0), backend)
+    return hook_coefficient(m_vec, spin_tuple(spins), (len(m_vec) + 1, 0))
 
 
 def super_occupancy_coefficient(
-    m_vec, two_s: int, nsites: int, shape: tuple[int, int], backend: str = "poly"
+    m_vec, two_s: int, nsites: int, shape: tuple[int, int]
 ) -> int:
     """Coefficient of the weight monomial in the power of the one-row hook character."""
     m, n = shape
     m_vec = tuple(m_vec)
     if len(m_vec) != m + n - 1:
         raise ValueError(f"expected {m + n - 1} entries for shape {shape}")
-    return hook_coefficient(m_vec, hook_spins(two_s, nsites), shape, backend)
+    return hook_coefficient(m_vec, hook_spins(two_s, nsites), shape)
 
 
-def occupancy_table(spins, rank: int, backend: str = "poly") -> dict[tuple[int, ...], int]:
-    """Every standard weight vector with a nonzero count."""
-    return hook_table(spin_tuple(spins), (rank + 1, 0), backend)
+def occupancy_table(spins, rank: int) -> Mapping[tuple[int, ...], int]:
+    """Every standard weight vector with a nonzero count (the read-only store)."""
+    return hook_table(spin_tuple(spins), (rank + 1, 0))
 
 
 def super_occupancy_table(
-    two_s: int, nsites: int, shape: tuple[int, int], backend: str = "poly"
-) -> dict[tuple[int, ...], int]:
-    """Every weight vector of the hook power with a nonzero count."""
-    return hook_table(hook_spins(two_s, nsites), shape, backend)
+    two_s: int, nsites: int, shape: tuple[int, int]
+) -> Mapping[tuple[int, ...], int]:
+    """Every weight vector of the hook power with a nonzero count (the read-only store)."""
+    return hook_table(hook_spins(two_s, nsites), shape)
 
 
-def symmetry_violations(spins, rank: int, backend: str = "poly") -> list[dict]:
+def symmetry_violations(spins, rank: int) -> list[dict]:
     """Check invariance of the count under every adjacent variable swap.
 
     Swapping variables i and i+1 maps M_i to M_{i-1} + M_{i+1} - M_i (with the
@@ -197,12 +152,12 @@ def symmetry_violations(spins, rank: int, backend: str = "poly") -> list[dict]:
     total = sum(spins)
     violations = []
     for m_vec in standard_m_vectors(rank, total):
-        base = occupancy_coefficient(m_vec, spins, backend)
+        base = occupancy_coefficient(m_vec, spins)
         chain = (total,) + m_vec + (0,)
         for i in range(1, rank + 1):
             moved = list(m_vec)
             moved[i - 1] = chain[i - 1] + chain[i + 1] - chain[i]
-            image = occupancy_coefficient(tuple(moved), spins, backend)
+            image = occupancy_coefficient(tuple(moved), spins)
             if image != base:
                 violations.append(
                     {

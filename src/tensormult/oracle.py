@@ -1,30 +1,35 @@
 """Independent ground-truth computations for cross-validating the shift-sum
 results: alternant coefficient extraction, iterated row insertion, greedy
 hook-character decomposition, semistandard tableau counts, hook-length
-dimensions.
+dimensions, and occupancy counts as matrix counts.
 
-None of these routines share code with the shift-operator path beyond the raw
-polynomial arithmetic, so agreement is meaningful evidence.
+None of these routines share code or caches with the shift-operator path
+beyond the raw polynomial arithmetic and the validation of degree lists
+(`occupancy.spin_tuple`), so agreement is meaningful evidence.  In
+particular the alternant builds its own product of one-row characters, and
+`matrix_count` counts without the occupancy store.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, prod
 
 from .errors import NonTerminating, SizeMismatch
-from .occupancy import _power_poly, spin_tuple
+from .occupancy import spin_tuple
 from .partitions import hook_lengths, partition
-from .sympoly import SparsePoly, hook_schur, vandermonde
+from .sympoly import complete_homogeneous, hook_schur, vandermonde
 
 
 def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
     """Multiplicity of every irreducible in a product of one-row characters.
 
-    Multiplies the product by the Vandermonde determinant and reads the
-    coefficients at staircase-shifted exponents.
+    Multiplies the product, built here factor by factor, by the Vandermonde
+    determinant and reads the coefficients at staircase-shifted exponents.
     """
     spins = spin_tuple(spins)
     nvars = rank + 1
-    poly = vandermonde(nvars) * _power_poly(spins, (nvars, 0))
+    poly = vandermonde(nvars)
+    for two_s in spins:
+        poly = poly * complete_homogeneous(two_s, nvars)
     out = {}
     for expv, coeff in poly.terms.items():
         # strictly decreasing staircase-shifted exponents <=> weakly decreasing rows
@@ -33,6 +38,65 @@ def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
             continue
         out[partition(rows)] = coeff
     return out
+
+
+def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:
+    """Occupancy count at a weight vector, counted as matrices.
+
+    The count is the number of site-by-variable matrices of nonnegative
+    integers whose row sums are the site degrees and whose column sums are
+    the exponents (total - M_1, M_1 - M_2, ..., M_r) of the weight; in hook
+    variables of shape (m, n) the last n columns hold 0 or 1.  The ordinary
+    rank-r count is the shape (r + 1, 0).  Weights with a negative exponent
+    count zero.
+    """
+    spins = spin_tuple(spins)
+    m, n = shape
+    m_vec = tuple(m_vec)
+    if len(m_vec) != m + n - 1:
+        raise ValueError(f"expected {m + n - 1} entries for shape {shape}")
+    chain = (sum(spins),) + m_vec + (0,)
+    columns = tuple(chain[j] - chain[j + 1] for j in range(m + n))
+    if any(c < 0 for c in columns):
+        return 0
+    return _count_rows(0, columns, _row_memo(spins, shape), spins, m)
+
+
+@lru_cache(maxsize=1)
+def _row_memo(spins, shape) -> dict:
+    """Counts keyed by (rows filled, remaining column sums) for one degree list
+    and shape; only the latest is kept, because callers count one at a time."""
+    return {}
+
+
+def _count_rows(row: int, columns, memo: dict, spins, evens: int) -> int:
+    """Matrices whose rows from `row` on have the degrees spins[row:] and whose
+    columns sum to `columns`; the columns after the first `evens` hold 0 or 1."""
+    if row == len(spins):
+        return int(not any(columns))
+    key = (row, columns)
+    if key not in memo:
+        memo[key] = sum(
+            _count_rows(row + 1, rest, memo, spins, evens)
+            for rest in _row_choices(columns, spins[row], evens)
+        )
+    return memo[key]
+
+
+def _row_choices(columns, degree: int, evens: int):
+    """Remaining column sums after each row of the given degree that fits.
+
+    The first `evens` columns take any entry; the ones after them take 0 or 1.
+    """
+    if degree > sum(columns):
+        return
+    if not columns:
+        yield ()
+        return
+    cap = min(columns[0], degree, degree if evens > 0 else 1)
+    for value in range(cap + 1):
+        for rest in _row_choices(columns[1:], degree - value, evens - 1):
+            yield (columns[0] - value,) + rest
 
 
 def horizontal_strip_additions(lam, boxes: int, max_rows: int):

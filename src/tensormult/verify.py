@@ -14,23 +14,28 @@ from .partitions import hook_partitions_of, m_from_lambda, partitions_of
 from .weyl import SuperRootSubset
 
 
-def backend_equivalence_violations(
+def store_oracle_violations(
     rank_max: int = 3,
     two_s_max: int = 4,
     nsites_max: int = 6,
     samples: int = 200,
     seed: int = 20240811,
 ) -> list[dict]:
-    """Lattice and polynomial backends must produce identical tables and counts."""
+    """The count store must agree with the independent matrix count, on whole
+    tables over the grid and at random points with mixed degrees."""
     violations = []
     for rank in range(1, rank_max + 1):
         for two_s in range(1, two_s_max + 1):
             for nsites in range(1, nsites_max + 1):
                 spins = (two_s,) * nsites
-                dp = occupancy.occupancy_table(spins, rank, backend="dp")
-                poly = occupancy.occupancy_table(spins, rank, backend="poly")
-                if dp != poly:
-                    diff = set(dp.items()) ^ set(poly.items())
+                store = occupancy.occupancy_table(spins, rank)
+                counted = {}
+                for m_vec in occupancy.standard_m_vectors(rank, two_s * nsites):
+                    count = oracle.matrix_count(m_vec, spins, (rank + 1, 0))
+                    if count:
+                        counted[m_vec] = count
+                if store != counted:
+                    diff = set(store.items()) ^ set(counted.items())
                     violations.append(
                         {"rank": rank, "twoS": two_s, "L": nsites,
                          "kind": "table", "diff": sorted(diff)[:3]}
@@ -44,12 +49,12 @@ def backend_equivalence_violations(
         m_vec = tuple(
             sorted((rng.randint(-2, total + 2) for _ in range(rank)), reverse=True)
         )
-        dp = occupancy.occupancy_coefficient(m_vec, spins, backend="dp")
-        poly = occupancy.occupancy_coefficient(m_vec, spins, backend="poly")
-        if dp != poly:
+        stored = occupancy.occupancy_coefficient(m_vec, spins)
+        counted = oracle.matrix_count(m_vec, spins, (rank + 1, 0))
+        if stored != counted:
             violations.append(
                 {"rank": rank, "spins": spins, "M": m_vec, "kind": "point",
-                 "dp": str(dp), "poly": str(poly)}
+                 "store": str(stored), "oracle": str(counted)}
             )
     return violations
 
@@ -73,25 +78,25 @@ def symmetry_violations(
 def rank_one_violations(two_s_max: int = 6, nsites_max: int = 12) -> list[dict]:
     """Rank-one closed form and palindrome.
 
-    The shift route (polynomial backend) must equal the two-term difference of
-    lattice-backend counts, and the counts must be palindromic.
+    The shift route over the count store must equal the two-term difference of
+    the independent matrix counts, and the counts must be palindromic.
     """
     violations = []
     for two_s in range(1, two_s_max + 1):
         for nsites in range(1, nsites_max + 1):
             total = two_s * nsites
+            spins = (two_s,) * nsites
+            counts = {
+                m: oracle.matrix_count((m,), spins, (2, 0)) for m in range(-1, total + 1)
+            }
             for m in range(total + 1):
-                c_here = occupancy.occupancy_coefficient((m,), (two_s,) * nsites, "dp")
-                c_prev = occupancy.occupancy_coefficient((m - 1,), (two_s,) * nsites, "dp")
-                c_mirror = occupancy.occupancy_coefficient(
-                    (total - m,), (two_s,) * nsites, "dp"
-                )
+                c_here, c_prev, c_mirror = counts[m], counts[m - 1], counts[total - m]
                 if c_here != c_mirror:
                     violations.append(
                         {"twoS": two_s, "L": nsites, "M": m, "kind": "palindrome"}
                     )
                 if m <= total // 2:
-                    mu = diffformula.multiplicity_from_m((m,), (two_s,) * nsites)
+                    mu = diffformula.multiplicity_from_m((m,), spins)
                     if mu != c_here - c_prev:
                         violations.append(
                             {"twoS": two_s, "L": nsites, "M": m, "kind": "difference",
@@ -225,7 +230,7 @@ def run_suite(name: str, **overrides) -> list[dict]:
 
 
 SUITES = {
-    "backends": backend_equivalence_violations,
+    "backends": store_oracle_violations,
     "symmetry": symmetry_violations,
     "rank-one": rank_one_violations,
     "tensor": tensor_sweep_violations,

@@ -13,6 +13,7 @@ queried weight vector loses nothing).
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
+from math import factorial, prod
 
 from .errors import InvalidTruncation, NotClosed
 from .sympoly import SparsePoly
@@ -170,13 +171,26 @@ def _even_factor(root, rank):
     return ((1, (0,) * rank), (-1, root_shift(root, rank)))
 
 
+# Largest even Weyl-group order that is expanded: 9!, the A8 denominator.
+# Time and memory grow with the term count, and A9 has ten times as many.
+MAX_WEYL_ORDER = factorial(9)
+
+
 def _denominator(rank: int, even, odd, bound) -> SignedExpansion:
     """Expansion of prod_even(1 - t^a) / prod_odd(1 + t^a), odd series truncated to bound.
 
     Without odd roots the expansion is an exact polynomial that ignores the
     bound; it is cached per root set, because a table reuses one expansion
-    for every label (the A7 one has 40,320 terms).
+    for every label (the A7 one has 40,320 terms).  An even part whose Weyl
+    group (the product of the factorials of its component sizes) is larger
+    than MAX_WEYL_ORDER is refused before anything is expanded.
     """
+    order = prod(factorial(len(g)) for g in label_groups(rank + 1, even))
+    if order > MAX_WEYL_ORDER:
+        raise ValueError(
+            f"the denominator's even Weyl group has order {order}, above the "
+            f"limit of 9! = {MAX_WEYL_ORDER}"
+        )
     if not odd:
         return _even_denominator(rank, tuple(even))
     factors = [_even_factor(r, rank) for r in even]

@@ -1,6 +1,8 @@
+import functools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -44,15 +46,6 @@ def test_multiplicity_table(capsys):
     assert len(doc["entries"]) == 3
     assert all(e["mu"] == "1" == e["oracle"] for e in doc["entries"])
     assert [e["lambda"] for e in doc["entries"]] == [[4], [3, 1], [2, 2]]
-
-
-def test_multiplicity_backend_both(capsys):
-    status, out = run_cli(
-        capsys, "multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "6",
-        "--lambda", "3,2,1", "--backend", "both",
-    )
-    assert status == 0
-    assert json.loads(out)["mu"] == "16"
 
 
 def test_branch_closure_and_table(capsys):
@@ -103,7 +96,7 @@ def test_super_branch_table(capsys):
 def test_occupancy_single_and_schema(capsys):
     status, out = run_cli(
         capsys, "occupancy", "--algebra", "A2", "--twoS", "1", "--L", "6",
-        "--M", "3,1", "--backend", "both",
+        "--M", "3,1",
     )
     assert status == 0
     doc = json.loads(out)
@@ -153,54 +146,6 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["mu"] == "1"
 
 
-def test_jobs_parallel_table(capsys):
-    status, out = run_cli(
-        capsys, "multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "4",
-        "--table", "--jobs", "2",
-    )
-    assert status == 0
-    serial_status, serial_out = run_cli(
-        capsys, "multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "4",
-        "--table", "--jobs", "1",
-    )
-    assert serial_status == 0
-    assert out == serial_out
-
-
-def test_jobs_clamped_without_starting_processes(capsys, monkeypatch):
-    import tensormult.cli as cli_mod
-
-    started = []
-
-    class RecordingPool:
-        """Stands in for the process pool: records its size, maps in-process."""
-
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    argv = ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "4", "--table"]
-    _, serial = run_cli(capsys, *argv, "--jobs", "1")
-    nrows = 4  # diagrams (4), (3, 1), (2, 2), (2, 1, 1)
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
-    for cpus, expected in ((64, nrows), (2, 2)):
-        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
-        status, out = run_cli(capsys, *argv, "--jobs", "100000")
-        assert status == 0 and out == serial
-        assert started.pop() == expected
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: None)
-    assert run_cli(capsys, *argv, "--jobs", "100000") == (0, serial)
-    assert started == []
-
-
 def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["multiplicity", "--algebra", "A2"])  # missing --twoS
@@ -219,7 +164,27 @@ def test_value_errors_exit_two(capsys):
     assert main(["super", "--shape", "2,1", "--twoS", "1", "--L", "-2",
                  "--table"]) == 2
     assert "--L" in capsys.readouterr().err
+    # an --M of another length than the rank is refused, naming the length
+    assert main(["occupancy", "--algebra", "A2", "--twoS", "1", "--L", "6",
+                 "--M", "3"]) == 2
+    assert "--M needs 2 entries" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_large_denominators_refused_at_once(capsys):
+    for argv in (
+        ["multiplicity", "--algebra", "A12", "--twoS", "1", "--L", "2", "--lambda", "1,1"],
+        ["multiplicity", "--algebra", "A9", "--twoS", "1", "--L", "8", "--table"],
+        ["branch", "--algebra", "A9", "--roots", ",".join(f"a{i}" for i in range(1, 10)),
+         "--twoS", "1", "--L", "8", "--table"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "9! = 362880" in capsys.readouterr().err
+    # the limit is on the Weyl group, not the rank: a small subalgebra of A8 is answered
+    assert main(["branch", "--algebra", "A8", "--roots", "a1,a3", "--twoS", "1",
+                 "--L", "2", "--rows", "1,0,1"]) == 0
 
 
 def test_super_single_with_check(capsys):
@@ -237,7 +202,7 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
     import tensormult.cli as cli_mod
 
     monkeypatch.setattr(
-        cli_mod.oracle, "schur_expansion", lambda spins, rank: {}
+        cli_mod.oracle, "schur_expansion_pieri", lambda spins, rank: {}
     )
     status, _ = run_cli(
         capsys, "multiplicity", "--algebra", "A1", "--twoS", "1", "--L", "2",
@@ -246,14 +211,24 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
     assert status == 3
 
 
-def test_jobs_default_from_environment(monkeypatch):
-    from tensormult.cli import build_parser
+def test_check_catches_a_corrupted_store(capsys, monkeypatch):
+    import tensormult.occupancy as occupancy_mod
 
-    monkeypatch.setenv("TENSORMULT_JOBS", "4")
-    args = build_parser().parse_args(
-        ["multiplicity", "--algebra", "A1", "--twoS", "1", "--L", "2", "--table"]
-    )
-    assert args.jobs == 4
+    build = occupancy_mod.hook_table.__wrapped__
+
+    @functools.lru_cache(maxsize=1)
+    def corrupted(spins, shape):
+        store = dict(build(spins, shape))
+        first = min(store)
+        store[first] += 1
+        return store
+
+    monkeypatch.setattr(occupancy_mod, "hook_table", corrupted)
+    for argv in (
+        ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "4", "--table", "--check"],
+        ["super", "--shape", "2,1", "--twoS", "1", "--L", "4", "--table", "--check"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 3
 
 
 def test_cross_process_determinism():

@@ -18,7 +18,7 @@ from tensormult.diffformula import (
 )
 from tensormult.errors import SizeMismatch, TooManyRows
 from tensormult.occupancy import occupancy_coefficient, standard_m_vectors
-from tensormult.oracle import schur_expansion, weyl_dimension
+from tensormult.oracle import matrix_count, schur_expansion, weyl_dimension
 from tensormult.partitions import (
     conjugate,
     hook_partitions_of,
@@ -32,6 +32,7 @@ from tensormult.weyl import (
     full_subalgebra,
     torus_subalgebra,
     weyl_denominator_ar,
+    weyl_denominator_super_subalgebra,
 )
 
 
@@ -62,10 +63,9 @@ def test_multiplicity_examples():
         for two_s in (1, 2):
             for nsites in (1, 3, 4):
                 for m_vec in standard_m_vectors(m - 1, two_s * nsites):
-                    for backend in ("dp", "poly"):
-                        assert super_multiplicity_from_m(
-                            m_vec, two_s, nsites, (m, 0), backend
-                        ) == multiplicity_from_m(m_vec, (two_s,) * nsites, backend)
+                    assert super_multiplicity_from_m(
+                        m_vec, two_s, nsites, (m, 0)
+                    ) == multiplicity_from_m(m_vec, (two_s,) * nsites)
 
 
 def test_multiplicity_validation():
@@ -176,11 +176,12 @@ def test_super_branching_labels():
 
 
 def test_super_branching_backends_match():
+    # the same shift applied to the independent matrix count instead of the store
     sub = SuperRootSubset((2, 1), ((1, 3),))
     for m_vec in standard_m_vectors(2, 6):
-        assert super_branching_multiplicity_from_m(
-            m_vec, sub, 1, 6, "dp"
-        ) == super_branching_multiplicity_from_m(m_vec, sub, 1, 6, "poly")
+        expansion = weyl_denominator_super_subalgebra(sub, tuple(max(x, 0) for x in m_vec))
+        counted = apply_shift(expansion, lambda mv: matrix_count(mv, (1,) * 6, (2, 1)), m_vec)
+        assert super_branching_multiplicity_from_m(m_vec, sub, 1, 6) == counted
 
 
 def test_two_factor_strip_family():

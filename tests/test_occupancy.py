@@ -12,6 +12,16 @@ from tensormult.occupancy import (
     super_occupancy_table,
     symmetry_violations,
 )
+from tensormult.oracle import matrix_count
+
+
+def counted_table(spins, shape):
+    """The independent matrix count at every standard weight vector, nonzero only."""
+    counts = {
+        m_vec: matrix_count(m_vec, spins, shape)
+        for m_vec in standard_m_vectors(sum(shape) - 1, sum(spins))
+    }
+    return {m_vec: c for m_vec, c in counts.items() if c}
 
 
 def test_coefficient_examples():
@@ -23,10 +33,9 @@ def test_coefficient_examples():
 
 
 def test_zero_extension():
-    for backend in ("dp", "poly"):
-        assert occupancy_coefficient((-1,), (1,) * 4, backend) == 0
-        assert occupancy_coefficient((1, 3), (1,) * 6, backend) == 0
-        assert occupancy_coefficient((7, 1), (1,) * 6, backend) == 0
+    for m_vec, spins in (((-1,), (1,) * 4), ((1, 3), (1,) * 6), ((7, 1), (1,) * 6)):
+        assert occupancy_coefficient(m_vec, spins) == 0
+        assert matrix_count(m_vec, spins, (len(m_vec) + 1, 0)) == 0
 
 
 def test_degree_one_counts_are_binomial_products():
@@ -49,6 +58,7 @@ def test_table_matches_pointwise_and_character_at_one():
                 assert sum(table.values()) == comb(two_s + rank, rank) ** nsites
 
 
+# The `backends` checks: the count store against the independent matrix count.
 def test_backend_equivalence_exhaustive_small():
     for rank in (1, 2):
         for two_s in (1, 2, 3):
@@ -56,9 +66,9 @@ def test_backend_equivalence_exhaustive_small():
                 spins = (two_s,) * nsites
                 total = two_s * nsites
                 for m_vec in standard_m_vectors(rank, total):
-                    assert occupancy_coefficient(
-                        m_vec, spins, "dp"
-                    ) == occupancy_coefficient(m_vec, spins, "poly")
+                    assert occupancy_coefficient(m_vec, spins) == matrix_count(
+                        m_vec, spins, (rank + 1, 0)
+                    )
 
 
 def test_backend_equivalence_tables():
@@ -66,9 +76,7 @@ def test_backend_equivalence_tables():
         for two_s in (1, 2, 3, 4):
             for nsites in range(1, 7):
                 spins = (two_s,) * nsites
-                assert occupancy_table(spins, rank, "dp") == occupancy_table(
-                    spins, rank, "poly"
-                )
+                assert occupancy_table(spins, rank) == counted_table(spins, (rank + 1, 0))
 
 
 def test_backend_equivalence_random_instances():
@@ -81,8 +89,8 @@ def test_backend_equivalence_random_instances():
         m_vec = tuple(
             sorted((rng.randint(-2, total + 2) for _ in range(rank)), reverse=True)
         )
-        assert occupancy_coefficient(m_vec, spins, "dp") == occupancy_coefficient(
-            m_vec, spins, "poly"
+        assert occupancy_coefficient(m_vec, spins) == matrix_count(
+            m_vec, spins, (rank + 1, 0)
         )
 
 
@@ -110,27 +118,24 @@ def test_super_backends_agree():
     for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (2, 0), (3, 0), (4, 0)):
         for two_s in (1, 2):
             for nsites in (1, 3, 5):
-                table = super_occupancy_table(two_s, nsites, shape, "dp")
-                assert table == super_occupancy_table(two_s, nsites, shape, "poly")
+                table = super_occupancy_table(two_s, nsites, shape)
+                assert table == counted_table((two_s,) * nsites, shape)
                 m, n = shape
                 if n == 0:
                     # at n = 0 the hook count is the ordinary rank m - 1 count
-                    for backend in ("dp", "poly"):
-                        assert table == occupancy_table(
-                            (two_s,) * nsites, m - 1, backend
-                        )
+                    assert table == occupancy_table((two_s,) * nsites, m - 1)
 
 
 def test_super_zero_extension():
-    for backend in ("dp", "poly"):
-        assert super_occupancy_coefficient((-1,), 1, 4, (1, 1), backend) == 0
-        assert super_occupancy_coefficient((1, 3), 1, 6, (2, 1), backend) == 0
-        # a negative degree or site count is an error, not an empty product
-        for two_s, nsites, name in ((-1, 4, "two_s"), (1, -2, "nsites")):
-            with pytest.raises(ValueError, match=name):
-                super_occupancy_coefficient((0,), two_s, nsites, (1, 1), backend)
-            with pytest.raises(ValueError, match=name):
-                super_occupancy_table(two_s, nsites, (1, 1), backend)
+    assert super_occupancy_coefficient((-1,), 1, 4, (1, 1)) == 0
+    assert super_occupancy_coefficient((1, 3), 1, 6, (2, 1)) == 0
+    assert matrix_count((1, 3), (1,) * 6, (2, 1)) == 0
+    # a negative degree or site count is an error, not an empty product
+    for two_s, nsites, name in ((-1, 4, "two_s"), (1, -2, "nsites")):
+        with pytest.raises(ValueError, match=name):
+            super_occupancy_coefficient((0,), two_s, nsites, (1, 1))
+        with pytest.raises(ValueError, match=name):
+            super_occupancy_table(two_s, nsites, (1, 1))
 
 
 def test_symmetry_identities_small_grid():
@@ -149,8 +154,3 @@ def test_rank_one_palindrome():
                 assert occupancy_coefficient((m,), spins) == occupancy_coefficient(
                     (total - m,), spins
                 )
-
-
-def test_bad_backend_rejected():
-    with pytest.raises(ValueError):
-        occupancy_coefficient((1,), (1, 1), backend="magic")

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import tensormult.oracle
 from tensormult.errors import SizeMismatch
 from tensormult.occupancy import occupancy_coefficient
 from tensormult.oracle import (
@@ -7,6 +11,7 @@ from tensormult.oracle import (
     hook_schur_expansion,
     horizontal_strip_additions,
     kostka,
+    matrix_count,
     schur_expansion,
     schur_expansion_pieri,
     weyl_dimension,
@@ -120,3 +125,34 @@ def test_weyl_dimension_matches_tableau_count():
             for lam in partitions_of(total, max_rows=nvars):
                 count = sum(schur_tableaux(lam, nvars).terms.values())
                 assert weyl_dimension(lam, nvars) == count
+
+
+def test_oracle_imports_nothing_of_the_shift_route():
+    """The oracles share no code or cache with the route they check: only
+    spin_tuple comes from occupancy, nothing from diffformula or weyl."""
+    tree = ast.parse(Path(tensormult.oracle.__file__).read_text())
+    from_occupancy = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module, names = node.module.split(".")[-1], {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module, names = None, {a.name.split(".")[-1] for a in node.names}
+        else:
+            continue
+        assert module not in ("diffformula", "weyl")
+        assert not names & {"occupancy", "diffformula", "weyl"}
+        if module == "occupancy":
+            from_occupancy |= names
+    assert from_occupancy == {"spin_tuple"}
+
+
+def test_matrix_count_examples():
+    # six degree-one sites in three variables: multinomial counts
+    assert matrix_count((3, 1), (1,) * 6, (3, 0)) == 60
+    # one even and one odd variable: a binomial, whatever the degree
+    for two_s in (1, 2, 3):
+        assert matrix_count((2,), (two_s,) * 5, (1, 1)) == 10
+    assert matrix_count((2, 1), (1,) * 6, (2, 1)) == 30
+    assert matrix_count((-1,), (1,) * 4, (2, 0)) == 0
+    with pytest.raises(ValueError):
+        matrix_count((1,), (1, 1), (2, 1))
