@@ -17,6 +17,7 @@ from .errors import TensormultError
 from .partitions import (
     format_partition,
     hook_from_super_m,
+    is_partition,
     lambda_from_m,
     m_from_lambda,
     parse_partition,
@@ -25,11 +26,12 @@ from .partitions import (
 from .weyl import (
     SuperRootSubset,
     close_root_subset,
+    full_subalgebra,
     parse_roots,
-    weyl_denominator_ar,
-    weyl_denominator_subalgebra,
     weyl_denominator_super,
     weyl_denominator_super_subalgebra,
+    weyl_group,
+    weyl_order,
 )
 
 EXIT_OK = 0
@@ -149,7 +151,7 @@ def cmd_multiplicity(args, out) -> int:
     spins = _parse_spins(args.twoS, args.L)
     total = sum(spins)
     query = {"algebra": f"A{rank}", "twoS": list(spins), "L": len(spins)}
-    terms = len(weyl_denominator_ar(rank))  # refuses a too large rank up front
+    terms = weyl_order(weyl_group(full_subalgebra(rank)))  # refuses a too large rank up front
     if args.table:
         rows = _label_rows(rank, total, partial(lambda_from_m, two_sl=total))
         mus = [diffformula.multiplicity_from_m(m_vec, spins) for m_vec, _ in rows]
@@ -193,7 +195,7 @@ def cmd_branch(args, out) -> int:
         "components": [list(c) for c in spec.components],
         "abelian": list(spec.abelian),
     }
-    terms = len(weyl_denominator_subalgebra(spec))  # refuses a too large subset up front
+    terms = weyl_order(weyl_group(spec))  # refuses a too large subset up front
     if args.table:
         rows = _label_rows(
             rank, total, partial(diffformula.branching_weight_from_m, spec=spec, two_sl=total)
@@ -209,6 +211,15 @@ def cmd_branch(args, out) -> int:
         raise ValueError("need --rows or --table")
     rows = [int(t) for t in args.rows.split(",")]
     m_vec = diffformula.ambient_rows_to_m(rows, rank, total)
+    if diffformula.branching_weight_from_m(m_vec, spec, total) is None:
+        padded = rows + [0] * (rank + 1 - len(rows))
+        comp = next(
+            g for g in spec.components if not is_partition([padded[a - 1] for a in g])
+        )
+        raise ValueError(
+            f"rows {args.rows} increase inside component {list(comp)}, "
+            f"so they label no highest weight"
+        )
     mu = diffformula.branching_multiplicity_from_m(m_vec, spec, spins)
     doc = {
         "query": {**query, "rows": rows},

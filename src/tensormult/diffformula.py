@@ -4,8 +4,19 @@ A signed expansion of a (generalized) Weyl denominator acts on the occupancy
 count as a shift operator: each term (c, beta) contributes c times the count
 at M - beta.  Zero-extension of the counts makes every sum finite and total,
 so no boundary cases need special handling.
+
+Even denominators (the ordinary and branching routes) are never expanded:
+their terms are the elements of the Weyl group, a product of symmetric
+groups, and `weyl.weyl_group_terms` walks that group per query, cutting every
+branch that would take a monomial exponent of M - beta below zero.  Those
+terms read zero counts, so the sum is the same, but only the terms that can
+reach the count store are visited.  The hook routes (odd roots) keep the
+truncated series expansion and `apply_shift`: there the odd series cancels
+against the even factors inside the expansion, which a walk per term would
+lose.
 """
 
+import operator
 from math import comb
 
 from . import occupancy
@@ -20,10 +31,11 @@ from .partitions import (
 from .weyl import (
     SignedExpansion,
     SuperRootSubset,
-    weyl_denominator_ar,
-    weyl_denominator_subalgebra,
+    full_subalgebra,
     weyl_denominator_super,
     weyl_denominator_super_subalgebra,
+    weyl_group,
+    weyl_group_terms,
 )
 
 
@@ -42,12 +54,26 @@ def _shift_sum(expansion: SignedExpansion, m_vec, spins, shape) -> int:
     return apply_shift(expansion, lambda mv: store.get(mv, 0), m_vec)
 
 
+def _group_sum(spec: SuperRootSubset, m_vec, spins) -> int:
+    """The even denominator of spec applied to the occupancy counts, as a sum
+    over its Weyl group that visits only the terms that keep every exponent
+    nonnegative (the others read zero counts)."""
+    m_vec = tuple(m_vec)
+    if len(m_vec) != spec.rank:
+        raise ValueError(f"expected {spec.rank} entries for shape {spec.shape}, got {m_vec}")
+    components = weyl_group(spec)
+    store = occupancy.hook_table(spins, spec.shape)
+    chain = (sum(spins),) + m_vec + (0,)
+    exponents = [chain[a] - chain[a + 1] for a in range(spec.rank + 1)]
+    total = 0
+    for sign, shift in weyl_group_terms(components, exponents):
+        total += sign * store.get(tuple(map(operator.sub, m_vec, shift)), 0)
+    return total
+
+
 def multiplicity_from_m(m_vec, spins) -> int:
     """Multiplicity at a weight vector, for the full algebra of rank len(m_vec)."""
-    rank = len(m_vec)
-    return _shift_sum(
-        weyl_denominator_ar(rank), m_vec, occupancy.spin_tuple(spins), (rank + 1, 0)
-    )
+    return _group_sum(full_subalgebra(len(m_vec)), m_vec, occupancy.spin_tuple(spins))
 
 
 def multiplicity(lam, spins, rank: int) -> int:
@@ -59,14 +85,13 @@ def multiplicity(lam, spins, rank: int) -> int:
 
 
 def branching_multiplicity_from_m(m_vec, spec: SuperRootSubset, spins) -> int:
-    """Restriction multiplicity at an ambient weight vector.
+    """Restriction multiplicity at an ambient weight vector, for a closed
+    subset without odd roots.
 
     The empty spec returns the bare occupancy count; the full spec reduces to
     the ordinary multiplicity.
     """
-    return _shift_sum(
-        weyl_denominator_subalgebra(spec), m_vec, occupancy.spin_tuple(spins), spec.shape
-    )
+    return _group_sum(spec, m_vec, occupancy.spin_tuple(spins))
 
 
 def ambient_rows_to_m(rows, rank: int, two_sl: int) -> tuple[int, ...]:

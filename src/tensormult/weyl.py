@@ -4,16 +4,19 @@ drive the shift operators.
 
 Roots are stored as index pairs (i, j) with i < j over the standard labels;
 the pair maps to the monomial t_i ... t_{j-1} in the simple-root variables.
-Ordinary denominators expand to exact polynomials; denominators with odd
-roots expand as alternating series truncated to a per-variable bound (shifts
-beyond the bound annihilate the zero-extended counts, so a bound equal to the
-queried weight vector loses nothing).
+Denominators without odd roots are sums over their Weyl group, one signed
+term per group element (the Weyl denominator identity), enumerated by
+`weyl_group_terms`; denominators with odd roots expand as alternating series
+truncated to a per-variable bound (shifts beyond the bound annihilate the
+zero-extended counts, so a bound equal to the queried weight vector loses
+nothing).
 """
 
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from math import factorial, prod
+from operator import itemgetter
 
 from .errors import InvalidTruncation, NotClosed
 from .sympoly import SparsePoly
@@ -134,6 +137,7 @@ def close_root_subset(roots, rank: int) -> SuperRootSubset:
     return SuperRootSubset(spec.shape, subalgebra_positive_roots(spec))
 
 
+@cache
 def full_subalgebra(rank: int) -> SuperRootSubset:
     return SuperRootSubset((rank + 1, 0), positive_roots(rank))
 
@@ -171,36 +175,119 @@ def _even_factor(root, rank):
     return ((1, (0,) * rank), (-1, root_shift(root, rank)))
 
 
-# Largest even Weyl-group order that is expanded: 9!, the A8 denominator.
-# Time and memory grow with the term count, and A9 has ten times as many.
+# Largest even Weyl-group order that is enumerated: 9!, the A8 group.
+# Time and memory grow with the group order, and A9 has ten times as many.
 MAX_WEYL_ORDER = factorial(9)
 
 
-def _denominator(rank: int, even, odd, bound) -> SignedExpansion:
-    """Expansion of prod_even(1 - t^a) / prod_odd(1 + t^a), odd series truncated to bound.
+def weyl_order(components) -> int:
+    """Order of the product of the components' symmetric groups.
 
-    Without odd roots the expansion is an exact polynomial that ignores the
-    bound; it is cached per root set, because a table reuses one expansion
-    for every label (the A7 one has 40,320 terms).  An even part whose Weyl
-    group (the product of the factorials of its component sizes) is larger
-    than MAX_WEYL_ORDER is refused before anything is expanded.
+    An order above MAX_WEYL_ORDER is refused before anything is enumerated
+    or expanded.
     """
-    order = prod(factorial(len(g)) for g in label_groups(rank + 1, even))
+    order = prod(factorial(len(g)) for g in components)
     if order > MAX_WEYL_ORDER:
         raise ValueError(
             f"the denominator's even Weyl group has order {order}, above the "
             f"limit of 9! = {MAX_WEYL_ORDER}"
         )
-    if not odd:
-        return _even_denominator(rank, tuple(even))
-    factors = [_even_factor(r, rank) for r in even]
-    factors += [_alternating_factor(root_shift(r, rank), bound) for r in odd]
-    return _expand(factors, rank, bound)
+    return order
+
+
+def _require_closed(spec: SuperRootSubset) -> None:
+    if not spec.is_closed():
+        raise NotClosed(
+            f"root subset {spec.roots} is not bracket-closed; add the missing "
+            f"roots between connected labels"
+        )
 
 
 @cache
-def _even_denominator(rank: int, even: tuple[tuple[int, int], ...]) -> SignedExpansion:
-    return _expand([_even_factor(r, rank) for r in even], rank)
+def weyl_group(spec: SuperRootSubset) -> tuple[tuple[int, ...], ...]:
+    """Components of a closed root subset without odd roots.
+
+    Its Weyl group is the product of the components' symmetric groups, and
+    its denominator is the signed sum over that group (`weyl_group_terms`).
+    A subset that is not closed, has odd roots, or whose group is larger
+    than MAX_WEYL_ORDER is refused.
+    """
+    _require_closed(spec)
+    if spec.parity_split()[1]:
+        raise ValueError(f"root subset {spec.roots} has odd roots for shape {spec.shape}")
+    weyl_order(spec.components)
+    return spec.components
+
+
+@cache
+def _label_moves(components, nlabels: int):
+    """Per label: its position p in its component and, for each target
+    position q, the move q - p, the target's label bit, and the bits of the
+    component's labels below the target (the walk assigns positions from the
+    last down, so each of those already taken is one inversion).  A label
+    outside every component has the one move 0."""
+    moves = [(0, ((0, 0, 0),))] * nlabels
+    for g in components:
+        bits = [1 << (label - 1) for label in g]
+        below = [sum(bits[:q]) for q in range(len(g))]
+        for p, label in enumerate(g):
+            moves[label - 1] = (p, tuple((q - p, bits[q], below[q]) for q in range(len(g))))
+    return tuple(moves)
+
+
+def weyl_group_terms(components, exponents) -> list[tuple[int, tuple[int, ...]]]:
+    """(sign, shift) of each element of the product of the components' symmetric
+    groups that keeps every exponent nonnegative.
+
+    The labels are 1..len(exponents) and exponents[a - 1] is the monomial
+    exponent at label a of the point the denominator is applied to.  The
+    permutation s of a component (g_1 < ... < g_k) moves the exponent at g_p
+    by s(p) - p, positions counted inside the component; labels outside every
+    component do not move.  The shift vector holds the running sums of the
+    moves over the labels 1..rank (a root L_i - L_j moves one unit from
+    label j to label i), and the sign is the parity of the inversions of the
+    permutations.  This is the Weyl denominator identity: the terms are those
+    of the product of (1 - t^root) over the roots inside the components.
+
+    The walk takes the labels from the last to the first, one level per
+    label, carrying each branch's shift suffix, the labels already taken as
+    targets, and its sign.  A branch is cut as soon as a label's exponent
+    would go negative, so its terms are never visited; exponents of at least
+    the rank cut nothing.  Last to first, the labels whose exponents bound
+    their moves most tightly come first, so few branches die late.
+    """
+    nlabels = len(exponents)
+    moves = _label_moves(tuple(components), nlabels)
+    # shift entry a (the moves summed over labels 1..a) is minus the moves
+    # summed over labels a + 1 and on, which the walk has already taken
+    level = [(0, 0, 1, ())]
+    for a in range(nlabels - 1, -1, -1):
+        p, options = moves[a]
+        level = [
+            (entry, taken | bit, -sign if (taken & below).bit_count() & 1 else sign,
+             (entry,) + suffix if a else suffix)
+            for running, taken, sign, suffix in level
+            for move, bit, below in options[max(p - exponents[a], 0):]
+            if not taken & bit
+            for entry in (running - move,)
+        ]
+    return [(sign, suffix) for _, _, sign, suffix in level]
+
+
+def _denominator(rank: int, even, odd, bound) -> SignedExpansion:
+    """Expansion of prod_even(1 - t^a) / prod_odd(1 + t^a), odd series truncated to bound.
+
+    Without odd roots it is the exact sum over the even Weyl group, which
+    ignores the bound.  With odd roots the product is expanded factor by
+    factor; an even part whose Weyl group is larger than MAX_WEYL_ORDER is
+    refused first.
+    """
+    if not odd:
+        return weyl_denominator_subalgebra(SuperRootSubset((rank + 1, 0), even))
+    weyl_order(label_groups(rank + 1, even))
+    factors = [_even_factor(r, rank) for r in even]
+    factors += [_alternating_factor(root_shift(r, rank), bound) for r in odd]
+    return _expand(factors, rank, bound)
 
 
 def weyl_denominator_ar(rank: int) -> SignedExpansion:
@@ -208,12 +295,19 @@ def weyl_denominator_ar(rank: int) -> SignedExpansion:
 
     Collects to (rank + 1)! signed unit terms, one per permutation.
     """
-    return _denominator(rank, positive_roots(rank), (), None)
+    return weyl_denominator_subalgebra(full_subalgebra(rank))
 
 
 def weyl_denominator_subalgebra(spec: SuperRootSubset) -> SignedExpansion:
-    """Product of the factor denominators, written in the ambient variables."""
-    return _denominator(spec.rank, *spec.parity_split(), None)
+    """Product of the factor denominators of a closed subset without odd roots,
+    written in the ambient variables: one term per element of its Weyl group,
+    sorted by shift.
+
+    No move goes below -rank, so exponents of rank cut nothing from the walk.
+    """
+    rank = spec.rank
+    terms = weyl_group_terms(weyl_group(spec), (rank,) * (rank + 1))
+    return SignedExpansion(rank, tuple(sorted(terms, key=itemgetter(1))))
 
 
 def weyl_denominator_super(shape: tuple[int, int], bound) -> SignedExpansion:
@@ -224,11 +318,7 @@ def weyl_denominator_super(shape: tuple[int, int], bound) -> SignedExpansion:
 
 def weyl_denominator_super_subalgebra(sub: SuperRootSubset, bound) -> SignedExpansion:
     """Denominator expansion restricted to a closed subset of positive roots."""
-    if not sub.is_closed():
-        raise NotClosed(
-            f"root subset {sub.roots} is not bracket-closed; add the missing "
-            f"roots between connected labels"
-        )
+    _require_closed(sub)
     return _denominator(sub.rank, *sub.parity_split(), _check_bound(bound, sub.rank))
 
 

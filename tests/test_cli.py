@@ -168,6 +168,10 @@ def test_value_errors_exit_two(capsys):
     assert main(["occupancy", "--algebra", "A2", "--twoS", "1", "--L", "6",
                  "--M", "3"]) == 2
     assert "--M needs 2 entries" in capsys.readouterr().err
+    # rows that increase inside a component label no highest weight
+    assert main(["branch", "--algebra", "A2", "--roots", "L1-L2", "--twoS", "2", "--L", "2",
+                 "--rows", "1,3"]) == 2
+    assert "component [1, 2]" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -185,6 +189,41 @@ def test_large_denominators_refused_at_once(capsys):
     # the limit is on the Weyl group, not the rank: a small subalgebra of A8 is answered
     assert main(["branch", "--algebra", "A8", "--roots", "a1,a3", "--twoS", "1",
                  "--L", "2", "--rows", "1,0,1"]) == 0
+
+
+def test_term_counts_without_expanding(capsys, monkeypatch):
+    import tensormult.weyl as weyl_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an even denominator was expanded")
+
+    monkeypatch.setattr(weyl_mod, "_expand", refuse)
+    status, out = run_cli(
+        capsys, "multiplicity", "--algebra", "A6", "--twoS", "1", "--L", "8",
+        "--lambda", "3,2,1,1,1",
+    )
+    assert status == 0
+    assert json.loads(out)["witness"]["terms"] == 5040
+    # components {1, 3, 4} and {2, 5}: 3! * 2!
+    status, out = run_cli(
+        capsys, "branch", "--algebra", "A4", "--roots", "L1-L3,L3-L4,L2-L5",
+        "--twoS", "1", "--L", "4", "--rows", "2,1,1,0,0",
+    )
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["witness"]["terms"] == 12
+    assert int(doc["mu"]) > 0
+    # the largest group allowed, 9!, answers a pruned query at once
+    start = time.perf_counter()
+    status, out = run_cli(
+        capsys, "multiplicity", "--algebra", "A8", "--twoS", "1", "--L", "2",
+        "--lambda", "2", "--check",
+    )
+    assert time.perf_counter() - start < 5.0
+    assert status == 0
+    doc = json.loads(out)
+    assert doc["witness"]["terms"] == 362880
+    assert doc["mu"] == doc["oracle"] == "1"
 
 
 def test_super_single_with_check(capsys):

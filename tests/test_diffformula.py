@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -17,7 +18,7 @@ from tensormult.diffformula import (
     super_multiplicity_from_m,
 )
 from tensormult.errors import SizeMismatch, TooManyRows
-from tensormult.occupancy import occupancy_coefficient, standard_m_vectors
+from tensormult.occupancy import hook_table, occupancy_coefficient, standard_m_vectors
 from tensormult.oracle import matrix_count, schur_expansion, weyl_dimension
 from tensormult.partitions import (
     conjugate,
@@ -32,6 +33,7 @@ from tensormult.weyl import (
     full_subalgebra,
     torus_subalgebra,
     weyl_denominator_ar,
+    weyl_denominator_subalgebra,
     weyl_denominator_super_subalgebra,
 )
 
@@ -73,6 +75,9 @@ def test_multiplicity_validation():
         multiplicity((3, 1), (1,) * 6, 2)
     with pytest.raises(TooManyRows):
         multiplicity((3, 1, 1, 1), (1,) * 6, 2)
+    # a weight vector of another length than the rank
+    with pytest.raises(ValueError, match="expected 2 entries"):
+        branching_multiplicity_from_m((3, 1, 0), torus_subalgebra(2), (1,) * 6)
 
 
 def test_branching_reduces_at_both_ends():
@@ -83,6 +88,45 @@ def test_branching_reduces_at_both_ends():
         assert branching_multiplicity_from_m(
             m_vec, full_subalgebra(2), spins
         ) == multiplicity_from_m(m_vec, spins)
+
+
+def _set_partitions(labels):
+    if not labels:
+        yield []
+        return
+    first, rest = labels[0], labels[1:]
+    for blocks in _set_partitions(rest):
+        yield [[first], *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1:]]
+
+
+def test_group_walk_equals_the_expanded_denominator():
+    # every closed root subset of A1-A4 is the closure of one set partition
+    # of the labels; the walk must give the full expansion's shift sum at every
+    # standard weight vector, and at vectors with entries below 0 or above the
+    # total (non-dominant weights, zero-extension)
+    rng = random.Random(7)
+    spin_lists = [(two_s,) * nsites for two_s in (1, 2, 3) for nsites in range(1, 5)]
+    spin_lists += [(2, 1, 1), (3, 1, 2, 0)]
+    for rank in range(1, 5):
+        specs = [
+            close_root_subset([(b[i], b[i + 1]) for b in blocks for i in range(len(b) - 1)], rank)
+            for blocks in _set_partitions(list(range(1, rank + 2)))
+        ]
+        expansions = [weyl_denominator_subalgebra(spec) for spec in specs]
+        for spins in spin_lists:
+            total = sum(spins)
+            store = hook_table(spins, (rank + 1, 0))
+            vectors = list(standard_m_vectors(rank, total))
+            vectors += [
+                tuple(rng.randint(-2, total + 2) for _ in range(rank)) for _ in range(40)
+            ]
+            for spec, expansion in zip(specs, expansions):
+                for m_vec in vectors:
+                    assert branching_multiplicity_from_m(m_vec, spec, spins) == apply_shift(
+                        expansion, lambda mv: store.get(mv, 0), m_vec
+                    ), (spec.components, spins, m_vec)
 
 
 def test_branching_pair_inside_rank_two():

@@ -1,3 +1,4 @@
+from itertools import product
 from math import factorial
 
 import pytest
@@ -7,6 +8,8 @@ from tensormult.sympoly import SparsePoly
 from tensormult.weyl import (
     SignedExpansion,
     SuperRootSubset,
+    _even_factor,
+    _expand,
     close_root_subset,
     full_subalgebra,
     parse_root,
@@ -19,6 +22,8 @@ from tensormult.weyl import (
     weyl_denominator_subalgebra,
     weyl_denominator_super,
     weyl_denominator_super_subalgebra,
+    weyl_group,
+    weyl_group_terms,
 )
 
 
@@ -86,6 +91,49 @@ def test_subalgebra_full_and_empty():
         ) == weyl_denominator_ar(rank)
         empty = weyl_denominator_subalgebra(torus_subalgebra(rank))
         assert empty.terms == ((1, (0,) * rank),)
+
+
+def test_group_sum_equals_the_binomial_product():
+    # the even denominators come from the Weyl group; the reference is the
+    # product of the (1 - t^root) binomials, expanded factor by factor
+    for rank in range(1, 7):
+        assert weyl_denominator_ar(rank) == _expand(
+            [_even_factor(r, rank) for r in positive_roots(rank)], rank
+        )
+    # components that are not runs of consecutive labels
+    for roots, rank in (
+        (((1, 3),), 3),
+        (((1, 3), (2, 5)), 5),
+        (((2, 4), (4, 6), (1, 5)), 6),
+    ):
+        spec = close_root_subset(roots, rank)
+        assert weyl_denominator_subalgebra(spec) == _expand(
+            [_even_factor(r, rank) for r in spec.roots], rank
+        )
+
+
+def test_group_walk_cuts_exactly_the_negative_exponents():
+    # every term whose shifted point keeps its exponents nonnegative, and no other
+    spec = close_root_subset(((1, 3), (2, 4)), 3)
+    terms = weyl_denominator_subalgebra(spec).terms
+    for exponents in product(range(-1, 3), repeat=4):
+        kept = []
+        for coeff, shift in terms:
+            chain = (0,) + shift + (0,)
+            moved = [e + chain[a + 1] - chain[a] for a, e in enumerate(exponents)]
+            if min(moved) >= 0:
+                kept.append((coeff, shift))
+        walked = weyl_group_terms(weyl_group(spec), exponents)
+        assert sorted(walked, key=lambda t: t[1]) == kept
+
+
+def test_group_refusals():
+    with pytest.raises(NotClosed):
+        weyl_denominator_subalgebra(SuperRootSubset((3, 0), ((1, 2), (2, 3))))
+    with pytest.raises(ValueError, match="odd roots"):
+        weyl_group(SuperRootSubset((2, 1), ((1, 3),)))
+    with pytest.raises(ValueError, match="9! = 362880"):
+        weyl_denominator_ar(9)
 
 
 def test_super_one_one():
