@@ -27,8 +27,9 @@ from .weyl import (
     SuperRootSubset,
     close_root_subset,
     full_subalgebra,
+    hook_algebra,
     parse_roots,
-    weyl_denominator_super,
+    split_denominator,
     weyl_denominator_super_subalgebra,
     weyl_group,
     weyl_order,
@@ -240,33 +241,30 @@ def cmd_super(args, out) -> int:
     two_s, nsites = spins[0], len(spins)
     total = two_s * nsites
     query = {"shape": list(shape), "twoS": two_s, "L": nsites}
-    sub = None
     if args.roots:
+        if args.check:
+            raise ValueError("--check has no oracle for hook restrictions (--roots)")
         sub = SuperRootSubset(shape, parse_roots(args.roots, shape))
         query["roots"] = [list(r) for r in sub.roots]
+    else:
+        sub = hook_algebra(shape)
+    split_denominator(sub)  # refuses an open subset or a too large even group up front
     if args.table:
-        if sub is None:
-            label_of = partial(hook_from_super_m, two_sl=total, shape=shape)
-            worker = partial(
-                diffformula.super_multiplicity_from_m,
-                two_s=two_s, nsites=nsites, shape=shape,
-            )
-            fields = _lambda_fields
-        else:
+        if args.roots:
             label_of = partial(
                 diffformula.super_branching_weight_from_m, sub=sub, two_s=two_s, nsites=nsites
             )
-            worker = partial(
-                diffformula.super_branching_multiplicity_from_m,
-                sub=sub, two_s=two_s, nsites=nsites,
-            )
             fields = _super_branch_fields
+        else:
+            label_of = partial(hook_from_super_m, two_sl=total, shape=shape)
+            fields = _lambda_fields
         rows = _label_rows(rank, total, label_of)
-        mus = [worker(m_vec) for m_vec, _ in rows]
+        mus = [
+            diffformula.super_branching_multiplicity_from_m(m_vec, sub, two_s, nsites)
+            for m_vec, _ in rows
+        ]
         oracle_values = (
-            oracle.hook_schur_expansion(two_s, nsites, shape)
-            if args.check and sub is None
-            else None
+            oracle.hook_schur_expansion(two_s, nsites, shape) if args.check else None
         )
         entries, status = _table_entries(rows, mus, fields, oracle_values)
         _emit({"query": query, "entries": entries}, args.format, out)
@@ -278,20 +276,15 @@ def cmd_super(args, out) -> int:
         m_vec = super_m_from_hook(lam, total, shape)
     else:
         raise ValueError("need --lambda, --M, or --table")
+    mu = diffformula.super_branching_multiplicity_from_m(m_vec, sub, two_s, nsites)
     clipped = tuple(max(x, 0) for x in m_vec)
-    if sub is None:
-        mu = diffformula.super_multiplicity_from_m(m_vec, two_s, nsites, shape)
-        nterms = len(weyl_denominator_super(shape, clipped))
-    else:
-        mu = diffformula.super_branching_multiplicity_from_m(m_vec, sub, two_s, nsites)
-        nterms = len(weyl_denominator_super_subalgebra(sub, clipped))
     doc = {
         "query": {**query, "M": list(m_vec)},
         "mu": str(mu),
-        "witness": {"M": list(m_vec), "terms": nterms},
+        "witness": {"M": list(m_vec), "terms": len(weyl_denominator_super_subalgebra(sub, clipped))},
     }
     status = EXIT_OK
-    if args.check and sub is None:
+    if args.check:
         try:
             lam = hook_from_super_m(m_vec, total, shape)
             want = str(

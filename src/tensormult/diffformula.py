@@ -1,22 +1,28 @@
 """Multiplicities as signed shift sums of occupancy counts.
 
-A signed expansion of a (generalized) Weyl denominator acts on the occupancy
-count as a shift operator: each term (c, beta) contributes c times the count
-at M - beta.  Zero-extension of the counts makes every sum finite and total,
-so no boundary cases need special handling.
+A (generalized) Weyl denominator acts on the occupancy count as a shift
+operator: each term (c, beta) contributes c times the count at M - beta.
+Zero-extension of the counts makes every sum finite and total, so no
+boundary cases need special handling.
 
-Even denominators (the ordinary and branching routes) are never expanded:
-their terms are the elements of the Weyl group, a product of symmetric
-groups, and `weyl.weyl_group_terms` walks that group per query, cutting every
-branch that would take a monomial exponent of M - beta below zero.  Those
-terms read zero counts, so the sum is the same, but only the terms that can
-reach the count store are visited.  The hook routes (odd roots) keep the
-truncated series expansion and `apply_shift`: there the odd series cancels
-against the even factors inside the expansion, which a walk per term would
-lose.
+There is one shift route, `_group_sum`, for ordinary, branching and hook
+queries alike.  The denominator of a closed root subset is its even Weyl
+denominator divided by (1 + t^beta) over its odd roots beta.  The even part
+is a sum over the Weyl group of the even roots, a product of symmetric
+groups, and `weyl.weyl_group_terms` walks that group per query, cutting
+every branch that would take a monomial exponent below zero.  The odd part
+acts on the counts once: the walk reads the count store divided by the odd
+factors,
+
+    q_beta(M) = sum over k >= 0 of (-1)^k q'(M - k beta),
+
+where q' is the quotient by the odd roots before beta (the store itself for
+none).  The quotient is evaluated lazily and memoised one odd root at a
+time, so the stack is as deep as the number of odd roots.
 """
 
 import operator
+from functools import partial
 from math import comb
 
 from . import occupancy
@@ -32,15 +38,17 @@ from .weyl import (
     SignedExpansion,
     SuperRootSubset,
     full_subalgebra,
-    weyl_denominator_super,
-    weyl_denominator_super_subalgebra,
-    weyl_group,
+    hook_algebra,
+    split_denominator,
     weyl_group_terms,
 )
 
 
 def apply_shift(expansion: SignedExpansion, c_eval, m_vec) -> int:
-    """Signed sum of shifted evaluations: sum of c * c_eval(M - shift)."""
+    """Signed sum of shifted evaluations: sum of c * c_eval(M - shift).
+
+    The query routes do not use it; it applies a listed expansion.
+    """
     m_vec = tuple(m_vec)
     total = 0
     for coeff, shift in expansion.terms:
@@ -48,27 +56,77 @@ def apply_shift(expansion: SignedExpansion, c_eval, m_vec) -> int:
     return total
 
 
-def _shift_sum(expansion: SignedExpansion, m_vec, spins, shape) -> int:
-    """The denominator applied to the occupancy counts in hook variables of `shape`."""
-    store = occupancy.hook_table(spins, shape)
-    return apply_shift(expansion, lambda mv: store.get(mv, 0), m_vec)
+def _odd_quotient(store, total: int, odd):
+    """Counts of the store, of degree total, divided by (1 + t^root) over the
+    odd roots, as a function of the weight vector.
+
+    The roots are divided last to first, one memo each.  An odd root (i, j)
+    moves k units of monomial exponent from its odd label j to its even
+    label i.  No odd root raises an odd label, so the steps stop once the
+    exponent at j would go negative; when no root still to be divided raises
+    i either, they start where its exponent is nonnegative.  Every read of the
+    store is then at a weight whose exponents are all nonnegative, provided
+    the queried weight has nonnegative exponents at the labels that no odd
+    root raises.
+    """
+    memos = [{} for _ in odd]
+    raised = [any(i == root[0] for root in odd[:level]) for level, (i, _) in enumerate(odd)]
+
+    def quotient(level, m_vec):
+        if level < 0:
+            return store.get(m_vec, 0)
+        memo = memos[level]
+        value = memo.get(m_vec)
+        if value is None:
+            i, j = odd[level]
+            chain = (total,) + m_vec + (0,)
+            first = 0 if raised[level] else max(chain[i] - chain[i - 1], 0)
+            head, moved, tail = m_vec[: i - 1], m_vec[i - 1 : j - 1], m_vec[j - 1 :]
+            value = 0
+            for k in range(first, chain[j - 1] - chain[j] + 1):
+                term = quotient(level - 1, head + tuple(x - k for x in moved) + tail)
+                value += -term if k & 1 else term
+            memo[m_vec] = value
+        return value
+
+    return partial(quotient, len(odd) - 1)
+
+
+# The latest quotient, kept like the latest store: (store, odd roots, counts).
+_latest = (None, None, None)
+
+
+def _counts(store, total: int, odd):
+    """The counts the group walk reads: the store, divided by its odd roots."""
+    global _latest
+    if _latest[0] is not store or _latest[1] != odd:
+        _latest = (store, odd, _odd_quotient(store, total, odd))
+    return _latest[2]
 
 
 def _group_sum(spec: SuperRootSubset, m_vec, spins) -> int:
-    """The even denominator of spec applied to the occupancy counts, as a sum
-    over its Weyl group that visits only the terms that keep every exponent
-    nonnegative (the others read zero counts)."""
+    """The denominator of a closed root subset applied to the occupancy counts.
+
+    A sum over the even Weyl group of the counts divided by the odd factors,
+    visiting only the group terms that keep the exponent of every label
+    nonnegative (the others read zero counts).  Odd roots raise the exponent
+    at their even labels, so those labels get the exponent rank, which cuts
+    nothing.
+    """
     m_vec = tuple(m_vec)
     if len(m_vec) != spec.rank:
         raise ValueError(f"expected {spec.rank} entries for shape {spec.shape}, got {m_vec}")
-    components = weyl_group(spec)
-    store = occupancy.hook_table(spins, spec.shape)
-    chain = (sum(spins),) + m_vec + (0,)
+    components, odd = split_denominator(spec)
+    total = sum(spins)
+    counts = _counts(occupancy.hook_table(spins, spec.shape), total, odd)
+    chain = (total,) + m_vec + (0,)
     exponents = [chain[a] - chain[a + 1] for a in range(spec.rank + 1)]
-    total = 0
+    for i, _ in odd:
+        exponents[i - 1] = spec.rank
+    result = 0
     for sign, shift in weyl_group_terms(components, exponents):
-        total += sign * store.get(tuple(map(operator.sub, m_vec, shift)), 0)
-    return total
+        result += sign * counts(tuple(map(operator.sub, m_vec, shift)))
+    return result
 
 
 def multiplicity_from_m(m_vec, spins) -> int:
@@ -147,21 +205,11 @@ def branching_multiplicity(diagrams, charges, spec: SuperRootSubset, spins) -> i
     return branching_multiplicity_from_m(m_vec, spec, spins)
 
 
-def _nonneg(m_vec):
-    return tuple(max(x, 0) for x in m_vec)
-
-
 def super_multiplicity_from_m(
     m_vec, two_s: int, nsites: int, shape: tuple[int, int]
 ) -> int:
-    """Conjectured hook multiplicity at a weight vector.
-
-    The series truncation bound is the queried vector itself: larger shifts
-    would evaluate the zero-extended count at a negative entry.
-    """
-    m_vec = tuple(m_vec)
-    expansion = weyl_denominator_super(shape, _nonneg(m_vec))
-    return _shift_sum(expansion, m_vec, occupancy.hook_spins(two_s, nsites), shape)
+    """Conjectured hook multiplicity at a weight vector."""
+    return _group_sum(hook_algebra(shape), m_vec, occupancy.hook_spins(two_s, nsites))
 
 
 def super_multiplicity(lam, two_s: int, nsites: int, shape: tuple[int, int]) -> int:
@@ -175,9 +223,7 @@ def super_branching_multiplicity_from_m(
     m_vec, sub: SuperRootSubset, two_s: int, nsites: int
 ) -> int:
     """Conjectured restriction multiplicity to a closed hook root subset."""
-    m_vec = tuple(m_vec)
-    expansion = weyl_denominator_super_subalgebra(sub, _nonneg(m_vec))
-    return _shift_sum(expansion, m_vec, occupancy.hook_spins(two_s, nsites), sub.shape)
+    return _group_sum(sub, m_vec, occupancy.hook_spins(two_s, nsites))
 
 
 def _subset_labels(m_vec, sub: SuperRootSubset, total: int):

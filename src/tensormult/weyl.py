@@ -4,10 +4,14 @@ drive the shift operators.
 
 Roots are stored as index pairs (i, j) with i < j over the standard labels;
 the pair maps to the monomial t_i ... t_{j-1} in the simple-root variables.
-Denominators without odd roots are sums over their Weyl group, one signed
-term per group element (the Weyl denominator identity), enumerated by
-`weyl_group_terms`; denominators with odd roots expand as alternating series
-truncated to a per-variable bound (shifts beyond the bound annihilate the
+The denominator of a closed root subset is its even part divided by
+(1 + t^root) over its odd roots (`split_denominator`).  The even part is a
+sum over its Weyl group, one signed term per group element (the Weyl
+denominator identity), enumerated by `weyl_group_terms`; the query routes
+walk that group and divide the counts, not the denominator, by the odd
+factors (see `diffformula`).  The `weyl_denominator_*` functions list
+denominators as signed expansions: with odd roots the alternating series
+is truncated to a per-variable bound (shifts beyond the bound annihilate the
 zero-extended counts, so a bound equal to the queried weight vector loses
 nothing).
 """
@@ -138,21 +142,17 @@ def close_root_subset(roots, rank: int) -> SuperRootSubset:
 
 
 @cache
+def hook_algebra(shape: tuple[int, int]) -> SuperRootSubset:
+    """Every positive root, even and odd, of the (m, n) hook algebra."""
+    return SuperRootSubset(shape, tuple(combinations(range(1, sum(shape) + 1), 2)))
+
+
 def full_subalgebra(rank: int) -> SuperRootSubset:
-    return SuperRootSubset((rank + 1, 0), positive_roots(rank))
+    return hook_algebra((rank + 1, 0))
 
 
 def torus_subalgebra(rank: int) -> SuperRootSubset:
     return SuperRootSubset((rank + 1, 0), ())
-
-
-def super_positive_roots(shape: tuple[int, int]):
-    """(even, odd) positive root pairs of the (m, n) hook algebra."""
-    m, n = shape
-    even = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    even += [(k, l) for k in range(m + 1, m + n + 1) for l in range(k + 1, m + n + 1)]
-    odd = [(i, k) for i in range(1, m + 1) for k in range(m + 1, m + n + 1)]
-    return tuple(even), tuple(odd)
 
 
 def _check_bound(bound, rank):
@@ -220,6 +220,21 @@ def weyl_group(spec: SuperRootSubset) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
+def split_denominator(spec: SuperRootSubset):
+    """(components, odd roots) of a closed root subset.
+
+    Its denominator is the even denominator, a sum over the Weyl group of
+    the components (`weyl_group` of the even roots, which are closed
+    themselves), divided by (1 + t^root) over the odd roots.  A subset that
+    is not closed, or whose even group is larger than MAX_WEYL_ORDER, is
+    refused.
+    """
+    _require_closed(spec)
+    even, odd = spec.parity_split()
+    return weyl_group(SuperRootSubset(spec.shape, even)), odd
+
+
+@cache
 def _label_moves(components, nlabels: int):
     """Per label: its position p in its component and, for each target
     position q, the move q - p, the target's label bit, and the bits of the
@@ -274,22 +289,6 @@ def weyl_group_terms(components, exponents) -> list[tuple[int, tuple[int, ...]]]
     return [(sign, suffix) for _, _, sign, suffix in level]
 
 
-def _denominator(rank: int, even, odd, bound) -> SignedExpansion:
-    """Expansion of prod_even(1 - t^a) / prod_odd(1 + t^a), odd series truncated to bound.
-
-    Without odd roots it is the exact sum over the even Weyl group, which
-    ignores the bound.  With odd roots the product is expanded factor by
-    factor; an even part whose Weyl group is larger than MAX_WEYL_ORDER is
-    refused first.
-    """
-    if not odd:
-        return weyl_denominator_subalgebra(SuperRootSubset((rank + 1, 0), even))
-    weyl_order(label_groups(rank + 1, even))
-    factors = [_even_factor(r, rank) for r in even]
-    factors += [_alternating_factor(root_shift(r, rank), bound) for r in odd]
-    return _expand(factors, rank, bound)
-
-
 def weyl_denominator_ar(rank: int) -> SignedExpansion:
     """Exact expansion of the product of (1 - t^root) over all positive roots.
 
@@ -312,14 +311,27 @@ def weyl_denominator_subalgebra(spec: SuperRootSubset) -> SignedExpansion:
 
 def weyl_denominator_super(shape: tuple[int, int], bound) -> SignedExpansion:
     """Expansion of prod_even(1 - t^a) / prod_odd(1 + t^a), truncated to bound."""
-    rank = shape[0] + shape[1] - 1
-    return _denominator(rank, *super_positive_roots(shape), _check_bound(bound, rank))
+    return weyl_denominator_super_subalgebra(hook_algebra(shape), bound)
 
 
 def weyl_denominator_super_subalgebra(sub: SuperRootSubset, bound) -> SignedExpansion:
-    """Denominator expansion restricted to a closed subset of positive roots."""
-    _require_closed(sub)
-    return _denominator(sub.rank, *sub.parity_split(), _check_bound(bound, sub.rank))
+    """Denominator expansion of a closed subset of positive roots, the series
+    of its odd roots truncated to bound.
+
+    Without odd roots it is the exact sum over the even Weyl group, which
+    ignores the bound.  With odd roots the product is expanded factor by
+    factor.  The query routes never expand it: they walk the even group over
+    the counts divided by the odd factors (see `diffformula`).
+    """
+    split_denominator(sub)  # refuses an open subset or a too large even group
+    even, odd = sub.parity_split()
+    rank = sub.rank
+    bound = _check_bound(bound, rank)
+    if not odd:
+        return weyl_denominator_subalgebra(sub)
+    factors = [_even_factor(r, rank) for r in even]
+    factors += [_alternating_factor(root_shift(r, rank), bound) for r in odd]
+    return _expand(factors, rank, bound)
 
 
 def parse_root(token: str, shape: tuple[int, int] | None = None) -> tuple[int, int]:

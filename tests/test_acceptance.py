@@ -131,6 +131,11 @@ def test_criterion_09_smallest_hooks_closed_forms():
                         (-1) ** i * comb(nsites, m - i) for i in range(m + 1)
                     )
                     assert super_multiplicity(lam, two_s, nsites, (1, 1)) == expected
+        # a 1,200-step alternating sum, deeper than Python's default recursion
+        # limit; the sum telescopes to C(nsites - 1, m)
+        nsites, m = 1500, 1200
+        lam = (nsites - m,) + (1,) * m
+        assert super_multiplicity(lam, 1, nsites, (1, 1)) == comb(1499, 1200)
         # (2, 1) shape: truncated series equals the two-product closed form
         for nsites in range(1, 11):
             for m1 in range(nsites + 1):

@@ -172,20 +172,33 @@ def test_value_errors_exit_two(capsys):
     assert main(["branch", "--algebra", "A2", "--roots", "L1-L2", "--twoS", "2", "--L", "2",
                  "--rows", "1,3"]) == 2
     assert "component [1, 2]" in capsys.readouterr().err
+    # no oracle covers hook restrictions, so a requested check is refused
+    assert main(["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--roots", "L2-K1",
+                 "--table", "--check"]) == 2
+    assert "no oracle" in capsys.readouterr().err
+    assert main(["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--roots", "L2-K1",
+                 "--M", "5,2", "--check"]) == 2
+    assert "no oracle" in capsys.readouterr().err
     capsys.readouterr()
 
 
 def test_large_denominators_refused_at_once(capsys):
-    for argv in (
-        ["multiplicity", "--algebra", "A12", "--twoS", "1", "--L", "2", "--lambda", "1,1"],
-        ["multiplicity", "--algebra", "A9", "--twoS", "1", "--L", "8", "--table"],
-        ["branch", "--algebra", "A9", "--roots", ",".join(f"a{i}" for i in range(1, 10)),
-         "--twoS", "1", "--L", "8", "--table"],
+    too_large = "9! = 362880"
+    for argv, reason in (
+        (["multiplicity", "--algebra", "A12", "--twoS", "1", "--L", "2", "--lambda", "1,1"],
+         too_large),
+        (["multiplicity", "--algebra", "A9", "--twoS", "1", "--L", "8", "--table"], too_large),
+        (["branch", "--algebra", "A9", "--roots", ",".join(f"a{i}" for i in range(1, 10)),
+          "--twoS", "1", "--L", "8", "--table"], too_large),
+        # hook tables check the subset before enumerating their labels
+        (["super", "--shape", "10,1", "--twoS", "3", "--L", "8", "--table"], too_large),
+        (["super", "--shape", "2,2", "--roots", "L1-L2,L2-K1", "--twoS", "1", "--L", "4",
+          "--table"], "not bracket-closed"),
     ):
         start = time.perf_counter()
         assert main(argv) == 2
         assert time.perf_counter() - start < 1.0
-        assert "9! = 362880" in capsys.readouterr().err
+        assert reason in capsys.readouterr().err
     # the limit is on the Weyl group, not the rank: a small subalgebra of A8 is answered
     assert main(["branch", "--algebra", "A8", "--roots", "a1,a3", "--twoS", "1",
                  "--L", "2", "--rows", "1,0,1"]) == 0
@@ -195,9 +208,18 @@ def test_term_counts_without_expanding(capsys, monkeypatch):
     import tensormult.weyl as weyl_mod
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an even denominator was expanded")
+        raise AssertionError("a denominator was expanded")
 
     monkeypatch.setattr(weyl_mod, "_expand", refuse)
+    # hook tables walk the even group over the counts divided by the odd roots
+    for argv in (
+        ["super", "--shape", "2,2", "--twoS", "1", "--L", "4", "--table", "--check"],
+        ["super", "--shape", "2,2", "--twoS", "1", "--L", "4", "--roots",
+         "L1-L2,L1-K1,L2-K1", "--table"],
+    ):
+        status, out = run_cli(capsys, *argv)
+        assert status == 0
+        assert json.loads(out)["entries"]
     status, out = run_cli(
         capsys, "multiplicity", "--algebra", "A6", "--twoS", "1", "--L", "8",
         "--lambda", "3,2,1,1,1",

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -220,12 +221,36 @@ def test_super_branching_labels():
 
 
 def test_super_branching_backends_match():
-    # the same shift applied to the independent matrix count instead of the store
-    sub = SuperRootSubset((2, 1), ((1, 3),))
-    for m_vec in standard_m_vectors(2, 6):
-        expansion = weyl_denominator_super_subalgebra(sub, tuple(max(x, 0) for x in m_vec))
-        counted = apply_shift(expansion, lambda mv: matrix_count(mv, (1,) * 6, (2, 1)), m_vec)
-        assert super_branching_multiplicity_from_m(m_vec, sub, 1, 6) == counted
+    # the route against the truncated expansion applied to the independent
+    # matrix count instead of the store: every closed subset (the closure of a
+    # set partition of the labels), at every standard weight vector and at
+    # vectors with entries below 0 or above the total
+    rng = random.Random(11)
+    for shape in ((2, 1), (1, 2), (2, 2), (3, 1)):
+        rank = sum(shape) - 1
+        subs = [
+            SuperRootSubset(shape, [pair for b in blocks for pair in combinations(b, 2)])
+            for blocks in _set_partitions(list(range(1, rank + 2)))
+        ]
+        for two_s in (1, 2):
+            for nsites in range(1, 5):
+                spins = (two_s,) * nsites
+                total = two_s * nsites
+                vectors = list(standard_m_vectors(rank, total))
+                vectors += [
+                    tuple(rng.randint(-2, total + 2) for _ in range(rank)) for _ in range(40)
+                ]
+                for sub in subs:
+                    for m_vec in vectors:
+                        expansion = weyl_denominator_super_subalgebra(
+                            sub, tuple(max(x, 0) for x in m_vec)
+                        )
+                        counted = apply_shift(
+                            expansion, lambda mv: matrix_count(mv, spins, shape), m_vec
+                        )
+                        assert super_branching_multiplicity_from_m(
+                            m_vec, sub, two_s, nsites
+                        ) == counted, (shape, sub.roots, spins, m_vec)
 
 
 def test_two_factor_strip_family():
