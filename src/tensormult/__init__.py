@@ -40,6 +40,7 @@ from .oracle import (
     hook_schur_expansion,
     kostka,
     matrix_count,
+    pieri_expansion,
     schur_expansion,
     schur_expansion_pieri,
     weyl_dimension,

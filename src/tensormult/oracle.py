@@ -1,7 +1,8 @@
 """Independent ground-truth computations for cross-validating the shift-sum
-results: alternant coefficient extraction, iterated row insertion, greedy
-hook-character decomposition, semistandard tableau counts, hook-length
-dimensions, and occupancy counts as matrix counts.
+results: alternant coefficient extraction, the Pieri fold cut to a hook (the
+oracle of every `--check`), greedy hook-character decomposition (the fold's
+witness), semistandard tableau counts, hook-length dimensions, and occupancy
+counts as matrix counts.
 
 None of these routines share code or caches with the shift-operator path
 beyond the raw polynomial arithmetic and the validation of degree lists
@@ -99,10 +100,17 @@ def _row_choices(columns, degree: int, evens: int):
             yield (columns[0] - value,) + rest
 
 
-def horizontal_strip_additions(lam, boxes: int, max_rows: int):
-    """All diagrams obtained from lam by adding `boxes` cells, no two in a column."""
+def horizontal_strip_additions(lam, boxes: int, shape: tuple[int, int]):
+    """All diagrams in the (m, n)-hook obtained from lam by adding `boxes`
+    cells, no two in a column.
+
+    Rows after the m-th hold at most n cells, so at n = 0 this is the row cap
+    of m variables.
+    """
     lam = partition(lam)
-    rows = min(len(lam) + 1, max_rows)
+    m, n = shape
+    # a strip adds at most one row, and at n = 0 none past the m-th
+    rows = len(lam) + 1 if n or len(lam) < m else len(lam)
 
     def rec(i, remaining, prev_new):
         if i == rows:
@@ -115,30 +123,41 @@ def horizontal_strip_additions(lam, boxes: int, max_rows: int):
         # strip condition: new row i stays within the previous old row
         if i > 0:
             upper = min(upper, lam[i - 1])
+        if i >= m:
+            upper = min(upper, n)
         for value in range(upper, lower - 1, -1):
             for rest in rec(i + 1, remaining - (value - old), value):
                 yield (value,) + rest
 
     total = sum(lam) + boxes
-    for shape in rec(0, boxes, total):
-        yield partition(shape)
+    for grown in rec(0, boxes, total):
+        yield partition(grown)
 
 
-def schur_expansion_pieri(spins, rank: int) -> dict[tuple[int, ...], int]:
-    """Same expansion built by folding one-row insertions factor by factor.
+def pieri_expansion(spins, shape: tuple[int, int]) -> dict[tuple[int, ...], int]:
+    """Multiplicity of every hook character in a product of one-row ones.
 
-    Diagrams growing past rank + 1 rows vanish in rank + 1 variables and are
-    dropped at each step.
+    Folds one horizontal strip per factor (the Pieri rule) and drops every
+    diagram outside the (m, n)-hook at each step.  Hook Schur functions are
+    the image of Schur functions under a ring map and vanish exactly outside
+    the hook (Berele-Regev 1987; Macdonald I.3, I.5), and removing boxes
+    from a hook diagram leaves a hook diagram, so the early cut is exact.
+    The ordinary rank-r case is the shape (r + 1, 0).
     """
     spins = spin_tuple(spins)
     acc = {(): 1}
     for two_s in spins:
         nxt: dict[tuple[int, ...], int] = {}
         for lam, count in acc.items():
-            for grown in horizontal_strip_additions(lam, two_s, rank + 1):
+            for grown in horizontal_strip_additions(lam, two_s, shape):
                 nxt[grown] = nxt.get(grown, 0) + count
         acc = nxt
     return acc
+
+
+def schur_expansion_pieri(spins, rank: int) -> dict[tuple[int, ...], int]:
+    """The Pieri fold in rank + 1 variables: the same expansion as the alternant."""
+    return pieri_expansion(spins, (rank + 1, 0))
 
 
 def _leading_key(expv, m):
@@ -149,6 +168,9 @@ def hook_schur_expansion(
     two_s: int, nsites: int, shape: tuple[int, int]
 ) -> dict[tuple[int, ...], int]:
     """Greedy decomposition of a hook-character power into hook characters.
+
+    The witness for the hook cut of `pieri_expansion`; it enumerates
+    tableaux, so no command calls it.
 
     Repeatedly takes the surviving monomial that is maximal by total degree in
     the first m variables, then lexicographically; that monomial is the

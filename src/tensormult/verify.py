@@ -179,12 +179,17 @@ def super_conjecture_violations(
     two_s_values=(1, 2),
     nsites_max: int = 6,
 ) -> list[dict]:
-    """Conjectured hook shift route against the greedy character decomposition."""
+    """Conjectured hook shift route against the Pieri fold (the `super --check`
+    oracle), and the fold against the greedy decomposition, its witness."""
     violations = []
     for shape in shapes:
         for two_s in two_s_values:
             for nsites in range(1, nsites_max + 1):
-                expected = oracle.hook_schur_expansion(two_s, nsites, shape)
+                expected = oracle.pieri_expansion((two_s,) * nsites, shape)
+                if expected != oracle.hook_schur_expansion(two_s, nsites, shape):
+                    violations.append(
+                        {"shape": shape, "twoS": two_s, "L": nsites, "kind": "oracles"}
+                    )
                 for lam in hook_partitions_of(two_s * nsites, shape):
                     mu = diffformula.super_multiplicity(lam, two_s, nsites, shape)
                     want = expected.get(lam, 0)

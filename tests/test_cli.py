@@ -179,6 +179,16 @@ def test_value_errors_exit_two(capsys):
     assert main(["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--roots", "L2-K1",
                  "--M", "5,2", "--check"]) == 2
     assert "no oracle" in capsys.readouterr().err
+    # verify grid caps below one would check nothing and still pass
+    for argv, flag in (
+        (["--suite", "tensor", "--r", "0"], "--r"),
+        (["--suite", "kostka", "--r", "0"], "--r"),
+        (["--suite", "backends", "--r", "-3", "--twoS", "0", "--L", "0"], "--r"),
+        (["--suite", "super", "--twoS", "0"], "--twoS"),
+        (["--suite", "rank-one", "--L", "-1"], "--L"),
+    ):
+        assert main(["verify", *argv]) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -248,6 +258,33 @@ def test_term_counts_without_expanding(capsys, monkeypatch):
     assert doc["mu"] == doc["oracle"] == "1"
 
 
+def test_checks_enumerate_no_tableaux(capsys, monkeypatch):
+    import tensormult.oracle as oracle_mod
+    import tensormult.sympoly as sympoly_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hook Schur polynomial was expanded")
+
+    for module, name in (
+        (oracle_mod, "hook_schur_expansion"), (oracle_mod, "hook_schur"),
+        (sympoly_mod, "hook_schur"), (sympoly_mod, "_ssyt_contents"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for argv in (
+        ["super", "--shape", "2,2", "--twoS", "2", "--L", "4", "--table", "--check"],
+        ["multiplicity", "--algebra", "A2", "--twoS", "2", "--L", "4", "--table", "--check"],
+    ):
+        status, out = run_cli(capsys, *argv)
+        assert status == 0
+        assert all(e["mu"] == e["oracle"] for e in json.loads(out)["entries"])
+    status, out = run_cli(
+        capsys, "super", "--shape", "3,3", "--twoS", "2", "--L", "7", "--M", "10,7,5,2,0",
+        "--check",
+    )
+    assert status == 0
+    assert json.loads(out)["mu"] == json.loads(out)["oracle"] == "104"
+
+
 def test_super_single_with_check(capsys):
     status, out = run_cli(
         capsys, "super", "--shape", "1,2", "--twoS", "1", "--L", "6",
@@ -262,14 +299,14 @@ def test_super_single_with_check(capsys):
 def test_check_mismatch_exits_three(capsys, monkeypatch):
     import tensormult.cli as cli_mod
 
-    monkeypatch.setattr(
-        cli_mod.oracle, "schur_expansion_pieri", lambda spins, rank: {}
-    )
-    status, _ = run_cli(
-        capsys, "multiplicity", "--algebra", "A1", "--twoS", "1", "--L", "2",
-        "--lambda", "1,1", "--check",
-    )
-    assert status == 3
+    monkeypatch.setattr(cli_mod.oracle, "pieri_expansion", lambda spins, shape: {})
+    for argv in (
+        ["multiplicity", "--algebra", "A1", "--twoS", "1", "--L", "2", "--lambda", "1,1",
+         "--check"],
+        ["super", "--shape", "1,2", "--twoS", "1", "--L", "6", "--M", "4,2", "--check"],
+        ["super", "--shape", "2,1", "--twoS", "1", "--L", "4", "--table", "--check"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 3
 
 
 def test_check_catches_a_corrupted_store(capsys, monkeypatch):

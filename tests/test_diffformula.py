@@ -20,7 +20,7 @@ from tensormult.diffformula import (
 )
 from tensormult.errors import SizeMismatch, TooManyRows
 from tensormult.occupancy import hook_table, occupancy_coefficient, standard_m_vectors
-from tensormult.oracle import matrix_count, schur_expansion, weyl_dimension
+from tensormult.oracle import matrix_count, pieri_expansion, schur_expansion, weyl_dimension
 from tensormult.partitions import (
     conjugate,
     hook_partitions_of,
@@ -196,6 +196,23 @@ def test_super_two_one_closed_form():
                 assert (
                     super_multiplicity_from_m((m1, m2), 1, nsites, (2, 1)) == closed
                 )
+
+
+def test_hook_conjecture_sweep_against_the_fold():
+    # the conjectural hook route on the hooks beyond the verify suite's grid;
+    # a violation here is a finding about the conjecture, reported as is
+    checked, violations = 0, []
+    for shape in ((3, 1), (1, 3), (3, 2), (2, 3), (3, 3)):
+        for two_s in (1, 2):
+            for nsites in range(1, 8):
+                expected = pieri_expansion((two_s,) * nsites, shape)
+                for lam in hook_partitions_of(two_s * nsites, shape):
+                    checked += 1
+                    mu = super_multiplicity(lam, two_s, nsites, shape)
+                    if mu != expected.get(lam, 0):
+                        violations.append((shape, two_s, nsites, lam, mu))
+    assert checked == 1544
+    assert violations == []
 
 
 def test_super_conjugation_duality():

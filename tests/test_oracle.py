@@ -12,6 +12,7 @@ from tensormult.oracle import (
     horizontal_strip_additions,
     kostka,
     matrix_count,
+    pieri_expansion,
     schur_expansion,
     schur_expansion_pieri,
     weyl_dimension,
@@ -57,14 +58,19 @@ def test_oracles_agree_on_small_grid():
 
 
 def test_horizontal_strips():
-    assert set(horizontal_strip_additions((), 2, 2)) == {(2,)}
-    assert set(horizontal_strip_additions((1,), 1, 2)) == {(2,), (1, 1)}
-    assert set(horizontal_strip_additions((2, 1), 2, 2)) == {(4, 1), (3, 2)}
-    assert set(horizontal_strip_additions((2, 1), 2, 3)) == {
+    assert set(horizontal_strip_additions((), 2, (2, 0))) == {(2,)}
+    assert set(horizontal_strip_additions((1,), 1, (2, 0))) == {(2,), (1, 1)}
+    assert set(horizontal_strip_additions((2, 1), 2, (2, 0))) == {(4, 1), (3, 2)}
+    assert set(horizontal_strip_additions((2, 1), 2, (3, 0))) == {
         (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
     }
     # row cap drops tall diagrams
-    assert set(horizontal_strip_additions((1, 1), 1, 2)) == {(2, 1)}
+    assert set(horizontal_strip_additions((1, 1), 1, (2, 0))) == {(2, 1)}
+    # the hook cut: rows after the m-th hold at most n cells
+    assert set(horizontal_strip_additions((2, 1), 2, (1, 1))) == {(4, 1), (3, 1, 1)}
+    assert set(horizontal_strip_additions((2, 1), 2, (1, 2))) == {
+        (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
+    }
 
 
 def test_hook_schur_expansion_six_factors():
@@ -73,15 +79,35 @@ def test_hook_schur_expansion_six_factors():
         (3, 1, 1, 1): 10, (2, 2, 1, 1): 9, (2, 1, 1, 1, 1): 5,
         (1, 1, 1, 1, 1, 1): 1,
     }
-    assert hook_schur_expansion(1, 6, (2, 1)) == expected_21
     expected_12 = {
         (6,): 1, (5, 1): 5, (4, 2): 9, (4, 1, 1): 10, (3, 2, 1): 16,
         (3, 1, 1, 1): 10, (2, 1, 1, 1, 1): 5, (2, 2, 1, 1): 9, (2, 2, 2): 5,
         (1, 1, 1, 1, 1, 1): 1,
     }
-    assert hook_schur_expansion(1, 6, (1, 2)) == expected_12
-    for two_s in (1, 2, 3):
-        assert hook_schur_expansion(two_s, 1, (2, 1)) == {(two_s,): 1}
+    for expand in (
+        hook_schur_expansion,
+        lambda two_s, nsites, shape: pieri_expansion((two_s,) * nsites, shape),
+    ):
+        assert expand(1, 6, (2, 1)) == expected_21
+        assert expand(1, 6, (1, 2)) == expected_12
+        for two_s in (1, 2, 3):
+            assert expand(two_s, 1, (2, 1)) == {(two_s,): 1}
+
+
+def test_pieri_fold_equals_both_oracles():
+    # the hook cut against the greedy decomposition, which shares no code with it
+    for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)):
+        for two_s in (0, 1, 2):
+            for nsites in range(1, 6):
+                assert pieri_expansion((two_s,) * nsites, shape) == hook_schur_expansion(
+                    two_s, nsites, shape
+                )
+    # at n = 0 the fold is the ordinary expansion in rank + 1 variables
+    for rank in (1, 2, 3):
+        for two_s in range(4):
+            for nsites in range(1, 6):
+                spins = (two_s,) * nsites
+                assert pieri_expansion(spins, (rank + 1, 0)) == schur_expansion(spins, rank)
 
 
 def test_kostka_examples():
