@@ -17,10 +17,11 @@ from .errors import TensormultError
 from .partitions import (
     format_partition,
     hook_from_super_m,
+    hook_partitions_of,
     is_partition,
-    lambda_from_m,
     m_from_lambda,
     parse_partition,
+    partitions_of,
     super_m_from_hook,
 )
 from .weyl import (
@@ -83,6 +84,11 @@ def _label_rows(rank: int, total: int, label_of):
         if label is not None:
             rows.append((m_vec, label))
     return rows
+
+
+def _diagram_rows(diagrams, m_of):
+    """(weight vector, diagram) for every diagram, sorted by weight vector."""
+    return sorted((m_of(lam), lam) for lam in diagrams)
 
 
 def _table_entries(rows, mus, fields, oracle_values=None):
@@ -155,7 +161,8 @@ def cmd_multiplicity(args, out) -> int:
     terms = weyl_order(weyl_group(full_subalgebra(rank)))  # refuses a too large rank up front
     expected = oracle.pieri_expansion(spins, (rank + 1, 0)) if args.check else None
     if args.table:
-        rows = _label_rows(rank, total, partial(lambda_from_m, two_sl=total))
+        diagrams = partitions_of(total, max_rows=rank + 1)
+        rows = _diagram_rows(diagrams, partial(m_from_lambda, rank=rank, two_sl=total))
         mus = [diffformula.multiplicity_from_m(m_vec, spins) for m_vec, _ in rows]
         entries, status = _table_entries(rows, mus, _lambda_fields, expected)
         _emit({"query": query, "entries": entries}, args.format, out)
@@ -252,11 +259,12 @@ def cmd_super(args, out) -> int:
             label_of = partial(
                 diffformula.super_branching_weight_from_m, sub=sub, two_s=two_s, nsites=nsites
             )
+            rows = _label_rows(rank, total, label_of)
             fields = _super_branch_fields
         else:
-            label_of = partial(hook_from_super_m, two_sl=total, shape=shape)
+            diagrams = hook_partitions_of(total, shape)
+            rows = _diagram_rows(diagrams, partial(super_m_from_hook, two_sl=total, shape=shape))
             fields = _lambda_fields
-        rows = _label_rows(rank, total, label_of)
         mus = [
             diffformula.super_branching_multiplicity_from_m(m_vec, sub, two_s, nsites)
             for m_vec, _ in rows

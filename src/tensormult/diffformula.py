@@ -60,7 +60,10 @@ def _odd_quotient(store, total: int, odd):
     """Counts of the store, of degree total, divided by (1 + t^root) over the
     odd roots, as a function of the weight vector.
 
-    The roots are divided last to first, one memo each.  An odd root (i, j)
+    The roots are divided last to first, one memo each.  The memos are keyed
+    by weight vector, because a division by only some of the odd roots is not
+    symmetric within the blocks; only the reads of the store itself go
+    through its chamber sort.  An odd root (i, j)
     moves k units of monomial exponent from its odd label j to its even
     label i.  No odd root raises an odd label, so the steps stop once the
     exponent at j would go negative; when no root still to be divided raises

@@ -6,21 +6,28 @@ rank-r count is the shape (r + 1, 0), because at n = 0 the one-row hook
 character is the complete homogeneous polynomial in m variables
 (Berele-Regev 1987).
 
-There is one count store.  It is built by a forward pass over sites: each
-site adds a weakly decreasing column profile bounded by its degree (hook
-variables also cap the gaps in the last n positions at one box), and the
-store maps every reachable weight vector to its count.  A point query reads
-the store.  Every public entry point zero-extends: weight vectors whose
-implied exponents go negative, or that the store never reaches, count zero,
-so signed shift sums are total functions.  The independent check of these
-counts is `oracle.matrix_count`, which shares no code or cache with this
-module.
+There is one count store, and it keeps one count per chamber.  The weight
+vector M of degree T has the monomial exponents (T - M_1, M_1 - M_2, ...,
+M_r); the product of one-row hook characters is symmetric in the m even and,
+separately, in the n odd variables, so the count depends only on the
+exponents sorted within each block.  The store is keyed by these
+block-sorted exponent vectors and built by a pull over sites; a read by
+weight vector sorts the exponents.  Every public entry point zero-extends:
+weight vectors whose implied exponents go negative, or that the store never
+reaches, count zero, so signed shift sums are total functions.  The
+independent check of these counts is `oracle.matrix_count`, which shares no
+code or cache with this module.
 """
 
+from collections import Counter
 from collections.abc import Mapping
 from functools import cache, lru_cache
-from operator import add
+from itertools import accumulate, combinations, combinations_with_replacement
+from math import factorial, prod
+from operator import sub
 from types import MappingProxyType
+
+from .partitions import partitions_of
 
 
 def spin_tuple(spins) -> tuple[int, ...]:
@@ -44,49 +51,132 @@ def standard_m_vectors(rank: int, two_sl: int):
     yield from rec((), two_sl, rank)
 
 
-@cache
-def _site_profiles(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Weakly decreasing column profiles of one site, entries bounded by its degree.
+def _chamber(exponents: list, m: int) -> tuple[int, ...]:
+    """The exponents sorted within the even block (the first m) and the odd block.
 
-    Hook variables of shape (m, n) also cap the gaps in the last n positions
-    at one box, so the ordinary shape (rank + 1, 0) has no cap.
+    Sorts the list in place.  A vector with a negative exponent, or of the
+    wrong length, gets a chamber that no store holds, so it reads zero.
     """
+    if len(exponents) == m:
+        exponents.sort(reverse=True)
+        return tuple(exponents)
+    evens, odds = exponents[:m], exponents[m:]
+    if m > 1:
+        evens.sort(reverse=True)
+    if len(odds) > 1:
+        odds.sort(reverse=True)
+    return tuple(evens + odds)
+
+
+def _orbit(block):
+    """Every distinct rearrangement of a tuple."""
+    if len(block) <= 1:
+        yield block
+        return
+    for value in sorted(set(block), reverse=True):
+        at = block.index(value)
+        for rest in _orbit(block[:at] + block[at + 1 :]):
+            yield (value,) + rest
+
+
+def _orbit_size(block) -> int:
+    return factorial(len(block)) // prod(map(factorial, Counter(block).values()))
+
+
+class ChamberStore(Mapping):
+    """Read-only counts of one degree list and shape, read by weight vector.
+
+    `chambers` maps each block-sorted exponent vector with a nonzero count to
+    that count.  A read turns the weight vector into exponents, counts zero at
+    a negative one, and looks up their chamber.  Iterating yields every weight
+    vector with a nonzero count, chamber by chamber; only table dumps and
+    checks do that.
+    """
+
+    __slots__ = ("_counts", "_m", "_total")
+
+    def __init__(self, counts: dict, shape: tuple[int, int], total: int):
+        self._counts = counts
+        self._m = shape[0]
+        self._total = total
+
+    @property
+    def chambers(self) -> Mapping[tuple[int, ...], int]:
+        return MappingProxyType(self._counts)
+
+    def get(self, m_vec, default=None):
+        exponents = list(map(sub, (self._total, *m_vec), (*m_vec, 0)))
+        if min(exponents) < 0:
+            return default
+        return self._counts.get(_chamber(exponents, self._m), default)
+
+    def __getitem__(self, m_vec) -> int:
+        count = self.get(m_vec)
+        if count is None:
+            raise KeyError(m_vec)
+        return count
+
+    def __iter__(self):
+        m = self._m
+        for key in self._counts:
+            for evens in _orbit(key[:m]):
+                for odds in _orbit(key[m:]):
+                    # M_a is the sum of the exponents from position a on
+                    yield tuple(accumulate((evens + odds)[:0:-1]))[::-1]
+
+    def __len__(self) -> int:
+        m = self._m
+        return sum(_orbit_size(key[:m]) * _orbit_size(key[m:]) for key in self._counts)
+
+
+@cache
+def _site_monomials(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors of the one-row hook character of degree two_s: an even
+    composition of two_s - k and an odd 0/1 vector of weight k."""
     m, n = shape
-
-    def rec(prefix, cap, slots):
-        if slots == 0:
-            yield prefix
-            return
-        for value in range(cap, -1, -1):
-            yield from rec(prefix + (value,), value, slots - 1)
-
-    def capped(p):
-        chain = p + (0,)
-        return all(chain[j] - chain[j + 1] <= 1 for j in range(m - 1, m + n - 1))
-
-    return tuple(p for p in rec((), two_s, m + n - 1) if capped(p))
+    return tuple(
+        tuple(map(boxes.count, range(m))) + tuple(int(j in odd) for j in range(n))
+        for k in range(min(two_s, n) + 1)
+        for boxes in combinations_with_replacement(range(m), two_s - k)
+        for odd in combinations(range(n), k)
+    )
 
 
 @lru_cache(maxsize=1)
-def hook_table(spins, shape: tuple[int, int]) -> Mapping[tuple[int, ...], int]:
-    """The count store: every weight vector with a nonzero count in hook
-    variables of shape (m, n), built in one forward pass over sites.
+def hook_table(spins, shape: tuple[int, int]) -> ChamberStore:
+    """The count store of the degree list in hook variables of shape (m, n).
 
-    Only the most recent (spins, shape) is kept, because every caller reads
-    one store at a time.  Every caller gets the same store, so it comes back
-    read-only.
+    Each site of degree d pulls the counts of the sites before it:
+    c(nu) = sum over the site's monomials p <= nu of c_before(chamber(nu - p)),
+    for every chamber nu the sites so far reach.  Only the most recent
+    (spins, shape) is kept, because every caller reads one store at a time.
     """
-    acc = {(0,) * (sum(shape) - 1): 1}
-    # largest degrees first: the widest passes then meet the fewest profiles
-    for two_s in sorted(spins, reverse=True):
-        profiles = _site_profiles(two_s, shape)
-        nxt = {}
-        for partial, count in acc.items():
-            for p in profiles:
-                key = tuple(map(add, partial, p))
-                nxt[key] = nxt.get(key, 0) + count
-        acc = nxt
-    return MappingProxyType(acc)
+    m, n = shape
+
+    @cache
+    def even_blocks(size):
+        return [lam + (0,) * (m - len(lam)) for lam in partitions_of(size, max_rows=m)]
+
+    counts = {(0,) * (m + n): 1}
+    total = nsites = 0
+    for two_s in spins:
+        if not two_s:
+            continue
+        total += two_s
+        nsites += 1
+        monomials = _site_monomials(two_s, shape)
+        before, counts = counts, {}
+        # A site adds at most one to each odd exponent, so the odd parts are
+        # at most nsites; for sites of one degree every such chamber is reached.
+        for odds in combinations_with_replacement(range(nsites, -1, -1), n):
+            for evens in even_blocks(total - sum(odds)):
+                key = evens + odds
+                count = 0
+                for p in monomials:
+                    count += before.get(_chamber(list(map(sub, key, p)), m), 0)
+                if count:
+                    counts[key] = count
+    return ChamberStore(counts, shape, total)
 
 
 def hook_coefficient(m_vec, spins, shape: tuple[int, int]) -> int:
@@ -95,7 +185,7 @@ def hook_coefficient(m_vec, spins, shape: tuple[int, int]) -> int:
     The ordinary rank-r count is the shape (r + 1, 0).  Total function:
     out-of-range weights give 0.
     """
-    return hook_table(spins, shape).get(tuple(m_vec), 0)
+    return hook_table(spins, shape).get(m_vec, 0)
 
 
 def hook_spins(two_s: int, nsites: int) -> tuple[int, ...]:
@@ -139,33 +229,3 @@ def super_occupancy_table(
 ) -> Mapping[tuple[int, ...], int]:
     """Every weight vector of the hook power with a nonzero count (the read-only store)."""
     return hook_table(hook_spins(two_s, nsites), shape)
-
-
-def symmetry_violations(spins, rank: int) -> list[dict]:
-    """Check invariance of the count under every adjacent variable swap.
-
-    Swapping variables i and i+1 maps M_i to M_{i-1} + M_{i+1} - M_i (with the
-    boundary conventions M_0 = total degree, M_{r+1} = 0); the count must not
-    change.  Returns one record per violated identity, empty when all hold.
-    """
-    spins = spin_tuple(spins)
-    total = sum(spins)
-    violations = []
-    for m_vec in standard_m_vectors(rank, total):
-        base = occupancy_coefficient(m_vec, spins)
-        chain = (total,) + m_vec + (0,)
-        for i in range(1, rank + 1):
-            moved = list(m_vec)
-            moved[i - 1] = chain[i - 1] + chain[i + 1] - chain[i]
-            image = occupancy_coefficient(tuple(moved), spins)
-            if image != base:
-                violations.append(
-                    {
-                        "M": list(m_vec),
-                        "swap": i,
-                        "image": list(moved),
-                        "count": str(base),
-                        "image_count": str(image),
-                    }
-                )
-    return violations

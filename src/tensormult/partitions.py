@@ -146,7 +146,8 @@ def partitions_of(total: int, max_rows: int | None = None, max_part: int | None 
             return
         if depth == 0:
             return
-        for first in range(min(largest, remaining), 0, -1):
+        # the first part is at least the average of what the rows must hold
+        for first in range(min(largest, remaining), -(-remaining // depth) - 1, -1):
             for rest in rec(remaining - first, first, depth - 1):
                 yield (first,) + rest
 
@@ -157,10 +158,24 @@ def partitions_of(total: int, max_rows: int | None = None, max_part: int | None 
 
 
 def hook_partitions_of(total: int, shape: tuple[int, int]):
-    """Yield all partitions of `total` inside the (m, n)-hook."""
-    for lam in partitions_of(total):
-        if fits_hook(lam, shape):
-            yield lam
+    """Yield all partitions of `total` inside the (m, n)-hook, largest part first.
+
+    The first m rows are any partition with at most m rows; the rows below
+    them have at most n cells each, and no more than row m.
+    """
+    m, n = shape
+    found = []
+    for size in range(total + 1):
+        for head in partitions_of(size, max_rows=m):
+            if size == total:
+                found.append(head)
+            elif len(head) == m:
+                # the rows below row m, as the columns they conjugate to
+                cap = min(n, head[-1]) if m else n
+                found.extend(
+                    head + conjugate(cols) for cols in partitions_of(total - size, max_rows=cap)
+                )
+    yield from sorted(found, reverse=True)
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

@@ -329,6 +329,36 @@ def test_check_catches_a_corrupted_store(capsys, monkeypatch):
         assert run_cli(capsys, *argv)[0] == 3
 
 
+def test_queries_never_iterate_the_store(capsys, monkeypatch):
+    # queries read the count store point by point: none may list its weight
+    # vectors, which would materialise every chamber's orbit
+    from tensormult.occupancy import ChamberStore, hook_spins, hook_table
+
+    commands = (
+        ["multiplicity", "--algebra", "A3", "--twoS", "2", "--L", "4", "--table", "--check"],
+        ["branch", "--algebra", "A3", "--roots", "L1-L2,L3-L4", "--twoS", "2", "--L", "3",
+         "--table"],
+        ["super", "--shape", "2,2", "--twoS", "1", "--L", "5", "--table", "--check"],
+        ["super", "--shape", "2,2", "--twoS", "1", "--L", "5", "--roots", "L1-L2,K1-K2",
+         "--table"],
+        ["occupancy", "--algebra", "A4", "--twoS", "4", "--L", "8", "--M", "20,12,6,2"],
+    )
+    expected = [run_cli(capsys, *argv) for argv in commands]
+
+    def refuse(self):
+        raise AssertionError("a query iterated the count store")
+
+    monkeypatch.setattr(ChamberStore, "__iter__", refuse)
+    monkeypatch.setattr(ChamberStore, "__len__", refuse)
+    hook_table.cache_clear()
+    for argv, want in zip(commands, expected):
+        assert run_cli(capsys, *argv) == want
+        assert want[0] == 0 and want[1]
+    # one count per chamber: the A4 store holds one key per diagram of 32 boxes
+    # with at most 5 rows, not one per weight vector
+    assert len(hook_table(hook_spins(4, 8), (5, 0)).chambers) <= 831
+
+
 def test_cross_process_determinism():
     cmd = [
         sys.executable, "-m", "tensormult.cli", "super", "--shape", "2,1",

@@ -1,18 +1,19 @@
 import random
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb
 
 import pytest
 
 from tensormult.occupancy import (
+    hook_table,
     occupancy_coefficient,
     occupancy_table,
     standard_m_vectors,
     super_occupancy_coefficient,
     super_occupancy_table,
-    symmetry_violations,
 )
 from tensormult.oracle import matrix_count
+from tensormult.verify import swap_violations
 
 
 def counted_table(spins, shape):
@@ -138,11 +139,39 @@ def test_super_zero_extension():
             super_occupancy_table(two_s, nsites, (1, 1))
 
 
+def test_hook_store_reads_by_block_sorted_exponents():
+    # the store keeps one count per block-sorted exponent vector; every
+    # rearrangement within the even block and within the odd block must read
+    # the same count, and a vector with an exponent below zero reads zero
+    for shape in ((2, 1), (1, 2), (2, 2), (3, 1), (2, 3)):
+        m, n = shape
+        for two_s in (1, 2):
+            for nsites in range(1, 6):
+                spins = (two_s,) * nsites
+                total = two_s * nsites
+                store = hook_table(spins, shape)
+                for m_vec in standard_m_vectors(m + n - 1, total):
+                    count = matrix_count(m_vec, spins, shape)
+                    assert store.get(m_vec, 0) == count, (shape, spins, m_vec)
+                    chain = (total,) + m_vec + (0,)
+                    exponents = [chain[a] - chain[a + 1] for a in range(m + n)]
+                    for evens in set(permutations(exponents[:m])):
+                        for odds in set(permutations(exponents[m:])):
+                            moved = tuple(accumulate((evens + odds)[:0:-1]))[::-1]
+                            assert store.get(moved, 0) == count, (shape, spins, moved)
+                    for a in range(m + n - 1):
+                        for value in (-1, total + 1):
+                            outside = m_vec[:a] + (value,) + m_vec[a + 1 :]
+                            assert store.get(outside, 0) == 0 == matrix_count(
+                                outside, spins, shape
+                            )
+
+
 def test_symmetry_identities_small_grid():
     for rank in (1, 2, 3):
         for two_s in (1, 2, 3):
             for nsites in (1, 3, 5):
-                assert symmetry_violations((two_s,) * nsites, rank) == []
+                assert swap_violations((two_s,) * nsites, rank) == []
 
 
 def test_rank_one_palindrome():
