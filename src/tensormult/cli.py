@@ -10,18 +10,15 @@ import argparse
 import io
 import json
 import sys
-from functools import partial
 
 from . import diffformula, occupancy, oracle, verify
 from .errors import TensormultError
 from .partitions import (
     format_partition,
     hook_from_super_m,
-    hook_partitions_of,
     is_partition,
     m_from_lambda,
     parse_partition,
-    partitions_of,
     super_m_from_hook,
 )
 from .weyl import (
@@ -32,7 +29,6 @@ from .weyl import (
     parse_roots,
     split_denominator,
     weyl_denominator_super_subalgebra,
-    weyl_group,
     weyl_order,
 )
 
@@ -70,54 +66,21 @@ def _parse_spins(two_s_text: str, nsites) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _label_rows(rank: int, total: int, label_of):
-    """(weight vector, label) for every standard weight vector that has a label.
-
-    label_of returns None or raises TensormultError for a vector without one.
-    """
-    rows = []
-    for m_vec in occupancy.standard_m_vectors(rank, total):
-        try:
-            label = label_of(m_vec)
-        except TensormultError:
-            continue
-        if label is not None:
-            rows.append((m_vec, label))
-    return rows
+def _diagram(label):
+    """The diagram of a full-algebra label: its one component's."""
+    return label[0][0][1]
 
 
-def _diagram_rows(diagrams, m_of):
-    """(weight vector, diagram) for every diagram, sorted by weight vector."""
-    return sorted((m_of(lam), lam) for lam in diagrams)
-
-
-def _table_entries(rows, mus, fields, oracle_values=None):
-    """Entries for the rows with a nonzero multiplicity, and the exit status.
-
-    fields(label) gives the label's entry fields.  With oracle values, each
-    entry carries the oracle's multiplicity and a mismatch exits 3.
-    """
-    status = EXIT_OK
-    entries = []
-    for (m_vec, label), mu in zip(rows, mus):
-        if not mu:
-            continue
-        entry = {"M": list(m_vec), **fields(label), "mu": str(mu)}
-        if oracle_values is not None:
-            entry["oracle"] = str(oracle_values.get(label, 0))
-            if entry["oracle"] != entry["mu"]:
-                status = EXIT_MISMATCH
-        entries.append(entry)
-    return entries, status
-
-
-def _lambda_fields(lam):
-    return {"lambda": list(lam)}
+def _lambda_fields(label):
+    return {"lambda": list(_diagram(label))}
 
 
 def _branch_fields(label):
     diagrams, charges = label
-    return {"diagrams": [format_partition(d) for d in diagrams], "charges": list(charges)}
+    return {
+        "diagrams": [format_partition(lam) for _, lam in diagrams],
+        "charges": [value for _, value in charges],
+    }
 
 
 def _super_branch_fields(label):
@@ -153,43 +116,78 @@ def _emit(doc: dict, fmt: str, out) -> None:
             )
 
 
-def cmd_multiplicity(args, out) -> int:
-    rank = _parse_algebra(args.algebra)
-    spins = _parse_spins(args.twoS, args.L)
+def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) -> int:
+    """The one query pipeline: the closed root subset sub, the degrees spins.
+
+    The subset is refused up front if it is open or its even group too large,
+    and with --check the Pieri fold of the subset's shape is built once.
+    Every value comes from the one shift route.  A table lists the labels of
+    `diffformula.label_rows`, each entry with fields(label); it keeps a row
+    when the value or the oracle's is nonzero, and exits 3 on a mismatch or
+    when an oracle label has no row.  A single query takes (query fields,
+    weight vector, oracle label) from single(total); an oracle label of None
+    reads "unlabeled".
+    """
+    components, odd = split_denominator(sub)
     total = sum(spins)
-    query = {"algebra": f"A{rank}", "twoS": list(spins), "L": len(spins)}
-    terms = weyl_order(weyl_group(full_subalgebra(rank)))  # refuses a too large rank up front
-    expected = oracle.pieri_expansion(spins, (rank + 1, 0)) if args.check else None
+    check = getattr(args, "check", False)
+    expected = oracle.pieri_expansion(spins, sub.shape) if check else {}
+    status = EXIT_OK
     if args.table:
-        diagrams = partitions_of(total, max_rows=rank + 1)
-        rows = _diagram_rows(diagrams, partial(m_from_lambda, rank=rank, two_sl=total))
-        mus = [diffformula.multiplicity_from_m(m_vec, spins) for m_vec, _ in rows]
-        entries, status = _table_entries(rows, mus, _lambda_fields, expected)
+        unrowed = dict(expected)
+        entries = []
+        for m_vec, label in diffformula.label_rows(sub, total):
+            mu = diffformula.branching_multiplicity_from_m(m_vec, sub, spins)
+            entry = {"M": list(m_vec), **fields(label), "mu": str(mu)}
+            want = mu
+            if check:
+                want = unrowed.pop(_diagram(label), 0)
+                entry["oracle"] = str(want)
+                if want != mu:
+                    status = EXIT_MISMATCH
+            if mu or want:
+                entries.append(entry)
+        for lam in sorted(unrowed):
+            print(f"oracle label {lam} has no table row", file=sys.stderr)
+            status = EXIT_MISMATCH
         _emit({"query": query, "entries": entries}, args.format, out)
         return status
-    if getattr(args, "lambda") is None:
-        raise ValueError("need --lambda or --table")
-    lam = parse_partition(getattr(args, "lambda"))
-    m_vec = m_from_lambda(lam, rank, total)
-    mu = str(diffformula.multiplicity_from_m(m_vec, spins))
+    extra, m_vec, lam = single(total)
+    mu = str(diffformula.branching_multiplicity_from_m(m_vec, sub, spins))
+    if odd:
+        terms = len(weyl_denominator_super_subalgebra(sub, tuple(max(x, 0) for x in m_vec)))
+    else:
+        terms = weyl_order(components)
     doc = {
-        "query": {**query, "lambda": list(lam)},
+        "query": {**query, **extra},
         "mu": mu,
         "witness": {"M": list(m_vec), "terms": terms},
     }
-    status = EXIT_OK
-    if expected is not None:
-        doc["oracle"] = str(expected.get(lam, 0))
-        if doc["oracle"] != mu:
+    if check:
+        doc["oracle"] = "unlabeled" if lam is None else str(expected.get(lam, 0))
+        if doc["oracle"] not in ("unlabeled", mu):
             status = EXIT_MISMATCH
     _emit(doc, args.format, out)
     return status
 
 
+def cmd_multiplicity(args, out) -> int:
+    rank = _parse_algebra(args.algebra)
+    spins = _parse_spins(args.twoS, args.L)
+    query = {"algebra": f"A{rank}", "twoS": list(spins), "L": len(spins)}
+
+    def single(total):
+        if getattr(args, "lambda") is None:
+            raise ValueError("need --lambda or --table")
+        lam = parse_partition(getattr(args, "lambda"))
+        return {"lambda": list(lam)}, m_from_lambda(lam, rank, total), lam
+
+    return _run_query(args, out, full_subalgebra(rank), spins, query, _lambda_fields, single)
+
+
 def cmd_branch(args, out) -> int:
     rank = _parse_algebra(args.algebra)
     spins = _parse_spins(args.twoS, args.L)
-    total = sum(spins)
     roots = parse_roots(args.roots)
     spec = close_root_subset(roots, rank)
     query = {
@@ -200,104 +198,54 @@ def cmd_branch(args, out) -> int:
         "components": [list(c) for c in spec.components],
         "abelian": list(spec.abelian),
     }
-    terms = weyl_order(weyl_group(spec))  # refuses a too large subset up front
-    if args.table:
-        rows = _label_rows(
-            rank, total, partial(diffformula.branching_weight_from_m, spec=spec, two_sl=total)
-        )
-        mus = [
-            diffformula.branching_multiplicity_from_m(m_vec, spec, spins)
-            for m_vec, _ in rows
-        ]
-        entries, status = _table_entries(rows, mus, _branch_fields)
-        _emit({"query": query, "entries": entries}, args.format, out)
-        return status
-    if args.rows is None:
-        raise ValueError("need --rows or --table")
-    rows = [int(t) for t in args.rows.split(",")]
-    m_vec = diffformula.ambient_rows_to_m(rows, rank, total)
-    if diffformula.branching_weight_from_m(m_vec, spec, total) is None:
+
+    def single(total):
+        if args.rows is None:
+            raise ValueError("need --rows or --table")
+        rows = [int(t) for t in args.rows.split(",")]
+        m_vec = diffformula.ambient_rows_to_m(rows, rank, total)
         padded = rows + [0] * (rank + 1 - len(rows))
-        comp = next(
-            g for g in spec.components if not is_partition([padded[a - 1] for a in g])
-        )
-        raise ValueError(
-            f"rows {args.rows} increase inside component {list(comp)}, "
-            f"so they label no highest weight"
-        )
-    mu = diffformula.branching_multiplicity_from_m(m_vec, spec, spins)
-    doc = {
-        "query": {**query, "rows": rows},
-        "mu": str(mu),
-        "witness": {"M": list(m_vec), "terms": terms},
-    }
-    _emit(doc, args.format, out)
-    return EXIT_OK
+        for g in spec.components:
+            if not is_partition([padded[a - 1] for a in g]):
+                raise ValueError(
+                    f"rows {args.rows} increase inside component {list(g)}, "
+                    f"so they label no highest weight"
+                )
+        return {"rows": rows}, m_vec, None
+
+    return _run_query(args, out, spec, spins, query, _branch_fields, single)
 
 
 def cmd_super(args, out) -> int:
     shape = _parse_shape(args.shape)
-    m, n = shape
-    rank = m + n - 1
     spins = _parse_spins(args.twoS, args.L)
     if len(set(spins)) != 1:
         raise ValueError("hook queries use one repeated degree")
-    two_s, nsites = spins[0], len(spins)
-    total = two_s * nsites
-    query = {"shape": list(shape), "twoS": two_s, "L": nsites}
+    query = {"shape": list(shape), "twoS": spins[0], "L": len(spins)}
+    fields = _lambda_fields
     if args.roots:
         if args.check:
             raise ValueError("--check has no oracle for hook restrictions (--roots)")
         sub = SuperRootSubset(shape, parse_roots(args.roots, shape))
         query["roots"] = [list(r) for r in sub.roots]
+        fields = _super_branch_fields
     else:
         sub = hook_algebra(shape)
-    split_denominator(sub)  # refuses an open subset or a too large even group up front
-    expected = oracle.pieri_expansion(spins, shape) if args.check else None
-    if args.table:
-        if args.roots:
-            label_of = partial(
-                diffformula.super_branching_weight_from_m, sub=sub, two_s=two_s, nsites=nsites
-            )
-            rows = _label_rows(rank, total, label_of)
-            fields = _super_branch_fields
+
+    def single(total):
+        if args.M:
+            m_vec = tuple(int(t) for t in args.M.split(","))
+        elif getattr(args, "lambda") is not None:
+            m_vec = super_m_from_hook(parse_partition(getattr(args, "lambda")), total, shape)
         else:
-            diagrams = hook_partitions_of(total, shape)
-            rows = _diagram_rows(diagrams, partial(super_m_from_hook, two_sl=total, shape=shape))
-            fields = _lambda_fields
-        mus = [
-            diffformula.super_branching_multiplicity_from_m(m_vec, sub, two_s, nsites)
-            for m_vec, _ in rows
-        ]
-        entries, status = _table_entries(rows, mus, fields, expected)
-        _emit({"query": query, "entries": entries}, args.format, out)
-        return status
-    if args.M:
-        m_vec = tuple(int(t) for t in args.M.split(","))
-    elif getattr(args, "lambda") is not None:
-        lam = parse_partition(getattr(args, "lambda"))
-        m_vec = super_m_from_hook(lam, total, shape)
-    else:
-        raise ValueError("need --lambda, --M, or --table")
-    mu = diffformula.super_branching_multiplicity_from_m(m_vec, sub, two_s, nsites)
-    clipped = tuple(max(x, 0) for x in m_vec)
-    doc = {
-        "query": {**query, "M": list(m_vec)},
-        "mu": str(mu),
-        "witness": {"M": list(m_vec), "terms": len(weyl_denominator_super_subalgebra(sub, clipped))},
-    }
-    status = EXIT_OK
-    if expected is not None:
+            raise ValueError("need --lambda, --M, or --table")
         try:
             lam = hook_from_super_m(m_vec, total, shape)
         except TensormultError:
-            doc["oracle"] = "unlabeled"
-        else:
-            doc["oracle"] = str(expected.get(lam, 0))
-            if doc["oracle"] != doc["mu"]:
-                status = EXIT_MISMATCH
-    _emit(doc, args.format, out)
-    return status
+            lam = None
+        return {"M": list(m_vec)}, m_vec, lam
+
+    return _run_query(args, out, sub, spins, query, fields, single)
 
 
 def cmd_occupancy(args, out) -> int:
@@ -331,7 +279,8 @@ def cmd_occupancy(args, out) -> int:
     return EXIT_OK
 
 
-# per-suite names of the grid caps settable from the command line
+# per-suite names of the grid caps settable from the command line; a cap that
+# no suite of the run takes is refused rather than ignored
 _SUITE_PARAMS = {
     "backends": {"r": "rank_max", "twoS": "two_s_max", "L": "nsites_max"},
     "symmetry": {"r": "rank_max", "twoS": "two_s_max", "L": "nsites_max"},
@@ -346,27 +295,23 @@ _SUITE_PARAMS = {
 _GRID_PARAMS = {"ranks", "two_s_values", "nsites_values"}
 
 
-def _suite_overrides(name, args):
-    for cli_key in ("r", "twoS", "L"):
-        value = getattr(args, cli_key)
-        if value is not None and value < 1:
-            raise ValueError(f"--{cli_key} must be at least 1, got {value}")
-    overrides = {}
-    for cli_key, param in _SUITE_PARAMS[name].items():
-        value = getattr(args, cli_key)
-        if value is None:
-            continue
-        overrides[param] = (
-            tuple(range(1, value + 1)) if param in _GRID_PARAMS else value
-        )
-    return overrides
-
-
 def cmd_verify(args, out) -> int:
+    caps = {key: getattr(args, key) for key in ("r", "twoS", "L") if getattr(args, key) is not None}
+    for key, value in caps.items():
+        if value < 1:
+            raise ValueError(f"--{key} must be at least 1, got {value}")
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
+    for key in caps:
+        if not any(key in _SUITE_PARAMS[name] for name in names):
+            raise ValueError(f"--{key} does not apply to the {args.suite} suite")
     failed = False
     for name in names:
-        violations = verify.run_suite(name, **_suite_overrides(name, args))
+        overrides = {
+            param: tuple(range(1, caps[key] + 1)) if param in _GRID_PARAMS else caps[key]
+            for key, param in _SUITE_PARAMS[name].items()
+            if key in caps
+        }
+        violations = verify.run_suite(name, **overrides)
         out.write(f"{name}: {len(violations)} violations\n")
         if violations:
             out.write(f"first witness: {json.dumps(violations[0], sort_keys=True)}\n")

@@ -22,14 +22,16 @@ time, so the stack is as deep as the number of odd roots.
 """
 
 import operator
-from functools import partial
+from functools import cache, partial
+from itertools import accumulate
 from math import comb
 
 from . import occupancy
 from .errors import NonStandardWeight, SizeMismatch
 from .partitions import (
     hook_from_super_m,
-    is_partition,
+    hook_partitions_of,
+    hook_rows,
     m_from_lambda,
     partition,
     super_m_from_hook,
@@ -229,43 +231,92 @@ def super_branching_multiplicity_from_m(
     return _group_sum(sub, m_vec, occupancy.hook_spins(two_s, nsites))
 
 
+@cache
+def _parts(sub: SuperRootSubset):
+    """(labels, hook shape) of each component of a subset, then of each
+    abelian label.
+
+    A part with both even and odd labels has the shape (p, q) of its even and
+    odd label counts; any other part, an abelian label among them, has the
+    shape (len, 0), so its label values are the rows of an ordinary diagram.
+    An abelian label is a one-label part, and its one-row diagram is its
+    charge.
+    """
+    m, _ = sub.shape
+    parts = []
+    for g in sub.components:
+        p = sum(1 for a in g if a <= m)
+        parts.append((g, (p, len(g) - p) if 0 < p < len(g) else (len(g), 0)))
+    return tuple(parts) + tuple(((a,), (1, 0)) for a in sub.abelian)
+
+
 def _subset_labels(m_vec, sub: SuperRootSubset, total: int):
     """Sub-diagram and charge labels of an ambient weight vector of degree total.
 
-    Each component of the subset is a smaller algebra on its own labels; its
-    diagram is assembled from the ambient row values (ordinary rows for even
-    labels, conjugated columns for odd ones).  Returns (diagrams, charges),
-    each a list of (labels, data) pairs, or None when a component's data
-    labels no highest weight.
+    Each component of the subset is a smaller algebra on its own labels, of
+    the hook shape `_parts` gives it; its diagram is assembled from the
+    ambient label values (rows for even labels, conjugated columns for odd
+    ones) by `hook_from_super_m`.  Returns (diagrams, charges), each a list of
+    (labels, data) pairs, or None when a label value is negative or a
+    component's values label no diagram.  `label_rows` is its inverse.
     """
-    m, _ = sub.shape
     chain = (total,) + tuple(m_vec) + (0,)
     values = [chain[i] - chain[i + 1] for i in range(len(chain) - 1)]
     if any(v < 0 for v in values):
         return None
     diagrams = []
-    for g in sub.components:
-        x_rows = tuple(values[a - 1] for a in g if a <= m)
-        y_cols = tuple(values[a - 1] for a in g if a > m)
-        if not y_cols or not x_rows:
-            # purely even group: the extracted values are ordinary rows
-            rows = x_rows or y_cols
-            if not is_partition(rows):
-                return None
-            diagrams.append((g, partition(rows)))
-            continue
-        sub_total = sum(x_rows) + sum(y_cols)
-        running = [sub_total]
-        for v in x_rows + y_cols:
-            running.append(running[-1] - v)
+    for g, shape in _parts(sub)[: len(sub.components)]:
+        part = [values[a - 1] for a in g]
+        size = sum(part)
         try:
             lam = hook_from_super_m(
-                tuple(running[1:-1]), sub_total, (len(x_rows), len(y_cols))
+                tuple(size - s for s in accumulate(part[:-1])), size, shape
             )
         except NonStandardWeight:
             return None
         diagrams.append((g, lam))
     return diagrams, [(a, values[a - 1]) for a in sub.abelian]
+
+
+def label_rows(sub: SuperRootSubset, total: int):
+    """(weight vector, label) for every label of degree total, sorted by
+    weight vector: the inverse of `_subset_labels`, built from diagrams.
+
+    Each part of `_parts` takes a size and a diagram of that size inside its
+    hook (an abelian label its one-row diagram), and the last part takes
+    whatever total remains.  The diagrams are listed once per (shape, size).
+    A label places its parts' `hook_rows` at their labels; those are the
+    monomial exponents, and the weight vector their running remainders.
+    """
+    parts = _parts(sub)
+
+    @cache
+    def diagrams(shape, size):
+        return [(lam, hook_rows(lam, shape)) for lam in hook_partitions_of(size, shape)]
+
+    rows = []
+    exponents = [0] * (sub.rank + 1)
+
+    def place(index, remaining, chosen):
+        last = index == len(parts) - 1
+        for size in (remaining,) if last else range(remaining + 1):
+            for choice in diagrams(parts[index][1], size):
+                for a, value in zip(parts[index][0], choice[1]):
+                    exponents[a - 1] = value
+                if not last:
+                    place(index + 1, remaining - size, chosen + (choice[0],))
+                    continue
+                lams = chosen + (choice[0],)
+                m_vec = tuple(total - s for s in accumulate(exponents[: sub.rank]))
+                label = (
+                    [(g, lam) for (g, _), lam in zip(parts, lams[: len(sub.components)])],
+                    [(a, exponents[a - 1]) for a in sub.abelian],
+                )
+                rows.append((m_vec, label))
+
+    place(0, total, ())
+    rows.sort(key=operator.itemgetter(0))
+    return rows
 
 
 def super_branching_weight_from_m(m_vec, sub: SuperRootSubset, two_s: int, nsites: int):

@@ -113,10 +113,16 @@ def super_m_from_hook(lam, two_sl: int, shape: tuple[int, int]) -> tuple[int, ..
         raise TooManyRows(f"{lam} does not fit the {shape}-hook")
     if sum(lam) != two_sl:
         raise SizeMismatch(f"|{lam}| = {sum(lam)} != {two_sl}")
+    return tuple(two_sl - s for s in accumulate(hook_rows(lam, shape)[: m + n - 1]))
+
+
+def hook_rows(lam, shape: tuple[int, int]) -> tuple[int, ...]:
+    """The m + n monomial exponents of a hook diagram: its first m rows, then
+    the columns of the rows below row m, each padded with zeros."""
+    m, n = shape
     head = lam[:m] + (0,) * (m - len(lam[:m]))
     tail_cols = conjugate(lam[m:])
-    rows = head + tail_cols + (0,) * (n - len(tail_cols))
-    return tuple(two_sl - s for s in accumulate(rows[: m + n - 1]))
+    return head + tail_cols + (0,) * (n - len(tail_cols))
 
 
 def hook_from_super_m(m_vec, two_sl: int, shape: tuple[int, int]) -> tuple[int, ...]:
@@ -161,9 +167,13 @@ def hook_partitions_of(total: int, shape: tuple[int, int]):
     """Yield all partitions of `total` inside the (m, n)-hook, largest part first.
 
     The first m rows are any partition with at most m rows; the rows below
-    them have at most n cells each, and no more than row m.
+    them have at most n cells each, and no more than row m.  At n = 0 these
+    are the partitions with at most m rows.
     """
     m, n = shape
+    if not n:
+        yield from partitions_of(total, max_rows=m)
+        return
     found = []
     for size in range(total + 1):
         for head in partitions_of(size, max_rows=m):

@@ -204,34 +204,21 @@ def _require_closed(spec: SuperRootSubset) -> None:
 
 
 @cache
-def weyl_group(spec: SuperRootSubset) -> tuple[tuple[int, ...], ...]:
-    """Components of a closed root subset without odd roots.
-
-    Its Weyl group is the product of the components' symmetric groups, and
-    its denominator is the signed sum over that group (`weyl_group_terms`).
-    A subset that is not closed, has odd roots, or whose group is larger
-    than MAX_WEYL_ORDER is refused.
-    """
-    _require_closed(spec)
-    if spec.parity_split()[1]:
-        raise ValueError(f"root subset {spec.roots} has odd roots for shape {spec.shape}")
-    weyl_order(spec.components)
-    return spec.components
-
-
-@cache
 def split_denominator(spec: SuperRootSubset):
-    """(components, odd roots) of a closed root subset.
+    """(components, odd roots) of a closed root subset: the one refusal point.
 
-    Its denominator is the even denominator, a sum over the Weyl group of
-    the components (`weyl_group` of the even roots, which are closed
-    themselves), divided by (1 + t^root) over the odd roots.  A subset that
-    is not closed, or whose even group is larger than MAX_WEYL_ORDER, is
-    refused.
+    Its denominator is the even denominator, the signed sum over the Weyl
+    group of the components of its even roots (a product of symmetric
+    groups, walked by `weyl_group_terms`), divided by (1 + t^root) over the
+    odd roots.  The even roots of a closed subset are closed themselves.  A
+    subset that is not closed, or whose even group is larger than
+    MAX_WEYL_ORDER, is refused before anything is enumerated.
     """
     _require_closed(spec)
     even, odd = spec.parity_split()
-    return weyl_group(SuperRootSubset(spec.shape, even)), odd
+    components = SuperRootSubset(spec.shape, even).components
+    weyl_order(components)
+    return components, odd
 
 
 @cache
@@ -302,10 +289,14 @@ def weyl_denominator_subalgebra(spec: SuperRootSubset) -> SignedExpansion:
     written in the ambient variables: one term per element of its Weyl group,
     sorted by shift.
 
-    No move goes below -rank, so exponents of rank cut nothing from the walk.
+    A subset with odd roots is refused.  No move goes below -rank, so
+    exponents of rank cut nothing from the walk.
     """
+    components, odd = split_denominator(spec)
+    if odd:
+        raise ValueError(f"root subset {spec.roots} has odd roots for shape {spec.shape}")
     rank = spec.rank
-    terms = weyl_group_terms(weyl_group(spec), (rank,) * (rank + 1))
+    terms = weyl_group_terms(components, (rank,) * (rank + 1))
     return SignedExpansion(rank, tuple(sorted(terms, key=itemgetter(1))))
 
 

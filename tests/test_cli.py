@@ -189,6 +189,12 @@ def test_value_errors_exit_two(capsys):
     ):
         assert main(["verify", *argv]) == 2
         assert f"{flag} must be at least 1" in capsys.readouterr().err
+    # a cap that a single named suite does not take would be ignored, so it is refused
+    for suite, flag in (
+        ("super", "--r"), ("rank-one", "--r"), ("pieri", "--L"), ("hooklength", "--twoS"),
+    ):
+        assert main(["verify", "--suite", suite, flag, "1"]) == 2
+        assert f"{flag} does not apply to the {suite} suite" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -299,14 +305,45 @@ def test_super_single_with_check(capsys):
 def test_check_mismatch_exits_three(capsys, monkeypatch):
     import tensormult.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod.oracle, "pieri_expansion", lambda spins, shape: {})
-    for argv in (
-        ["multiplicity", "--algebra", "A1", "--twoS", "1", "--L", "2", "--lambda", "1,1",
-         "--check"],
-        ["super", "--shape", "1,2", "--twoS", "1", "--L", "6", "--M", "4,2", "--check"],
-        ["super", "--shape", "2,1", "--twoS", "1", "--L", "4", "--table", "--check"],
-    ):
-        assert run_cli(capsys, *argv)[0] == 3
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_mod.oracle, "pieri_expansion", lambda spins, shape: {})
+        for argv in (
+            ["multiplicity", "--algebra", "A1", "--twoS", "1", "--L", "2", "--lambda", "1,1",
+             "--check"],
+            ["super", "--shape", "1,2", "--twoS", "1", "--L", "6", "--M", "4,2", "--check"],
+            ["super", "--shape", "2,1", "--twoS", "1", "--L", "4", "--table", "--check"],
+        ):
+            assert run_cli(capsys, *argv)[0] == 3
+    # lambda = (3, 2, 1) at 2s = 1, L = 6 is M = (3, 1) for A2 and for the (2, 1) hook;
+    # the oracle gives it 16
+    tables = (
+        ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "6", "--table", "--check"],
+        ["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--table", "--check"],
+    )
+    route = cli_mod.diffformula.branching_multiplicity_from_m
+    with monkeypatch.context() as patch:
+        # a route that reads 0 keeps its row, which then disagrees with the oracle
+        patch.setattr(
+            cli_mod.diffformula, "branching_multiplicity_from_m",
+            lambda m_vec, sub, spins: 0 if m_vec == (3, 1) else route(m_vec, sub, spins),
+        )
+        for argv in tables:
+            status, out = run_cli(capsys, *argv)
+            assert status == 3
+            row = next(e for e in json.loads(out)["entries"] if e["M"] == [3, 1])
+            assert (row["mu"], row["oracle"]) == ("0", "16")
+    enumerate_labels = cli_mod.diffformula.label_rows
+    with monkeypatch.context() as patch:
+        # an oracle label without a table row is named
+        patch.setattr(
+            cli_mod.diffformula, "label_rows",
+            lambda sub, total: [r for r in enumerate_labels(sub, total) if r[0] != (3, 1)],
+        )
+        for argv in tables:
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert "(3, 2, 1)" in captured.err
+            assert [3, 1] not in [e["M"] for e in json.loads(captured.out)["entries"]]
 
 
 def test_check_catches_a_corrupted_store(capsys, monkeypatch):
@@ -332,6 +369,7 @@ def test_check_catches_a_corrupted_store(capsys, monkeypatch):
 def test_queries_never_iterate_the_store(capsys, monkeypatch):
     # queries read the count store point by point: none may list its weight
     # vectors, which would materialise every chamber's orbit
+    import tensormult.occupancy as occupancy_mod
     from tensormult.occupancy import ChamberStore, hook_spins, hook_table
 
     commands = (
@@ -345,11 +383,13 @@ def test_queries_never_iterate_the_store(capsys, monkeypatch):
     )
     expected = [run_cli(capsys, *argv) for argv in commands]
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("a query iterated the count store")
 
     monkeypatch.setattr(ChamberStore, "__iter__", refuse)
     monkeypatch.setattr(ChamberStore, "__len__", refuse)
+    # nor may a table filter every weight vector for its labels
+    monkeypatch.setattr(occupancy_mod, "standard_m_vectors", refuse)
     hook_table.cache_clear()
     for argv, want in zip(commands, expected):
         assert run_cli(capsys, *argv) == want

@@ -5,12 +5,14 @@ from math import comb
 import pytest
 
 from tensormult.diffformula import (
+    _subset_labels,
     ambient_rows_to_m,
     apply_shift,
     branching_multiplicity,
     branching_multiplicity_from_m,
     branching_weight_from_m,
     even_branching_multiplicity,
+    label_rows,
     multiplicity,
     multiplicity_from_m,
     super_branching_multiplicity_from_m,
@@ -235,6 +237,23 @@ def test_super_branching_labels():
     assert diagrams == [((2, 3), (2, 1))]
     assert charges == [(1, 3)]
     assert super_branching_weight_from_m((2, 2), sub, 1, 6) is None
+
+
+def test_label_rows_invert_the_weight_filter():
+    # tables enumerate their labels from diagrams; the reference keeps every
+    # standard weight vector that _subset_labels labels, for every closed
+    # subset (the closure of a set partition of the labels)
+    for shape in ((2, 0), (3, 0), (4, 0), (5, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)):
+        rank = sum(shape) - 1
+        for blocks in _set_partitions(list(range(1, rank + 2))):
+            sub = SuperRootSubset(shape, [pair for b in blocks for pair in combinations(b, 2)])
+            for total in range(9):
+                filtered = []
+                for m_vec in standard_m_vectors(rank, total):
+                    label = _subset_labels(m_vec, sub, total)
+                    if label is not None:
+                        filtered.append((m_vec, label))
+                assert label_rows(sub, total) == filtered, (shape, sub.roots, total)
 
 
 def test_super_branching_backends_match():
