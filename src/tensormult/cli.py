@@ -116,6 +116,14 @@ def _emit(doc: dict, fmt: str, out) -> None:
             )
 
 
+def _refuse_unread(args, *flags) -> None:
+    """Exit 2 for a single-query flag given with --table, which reads none."""
+    if args.table:
+        for flag in flags:
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} is not read with --table")
+
+
 def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) -> int:
     """The one query pipeline: the closed root subset sub, the degrees spins.
 
@@ -172,6 +180,7 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
 
 
 def cmd_multiplicity(args, out) -> int:
+    _refuse_unread(args, "lambda")
     rank = _parse_algebra(args.algebra)
     spins = _parse_spins(args.twoS, args.L)
     query = {"algebra": f"A{rank}", "twoS": list(spins), "L": len(spins)}
@@ -186,6 +195,7 @@ def cmd_multiplicity(args, out) -> int:
 
 
 def cmd_branch(args, out) -> int:
+    _refuse_unread(args, "rows")
     rank = _parse_algebra(args.algebra)
     spins = _parse_spins(args.twoS, args.L)
     roots = parse_roots(args.roots)
@@ -217,6 +227,9 @@ def cmd_branch(args, out) -> int:
 
 
 def cmd_super(args, out) -> int:
+    _refuse_unread(args, "lambda", "M")
+    if args.M is not None and getattr(args, "lambda") is not None:
+        raise ValueError("--lambda is not read with --M")
     shape = _parse_shape(args.shape)
     spins = _parse_spins(args.twoS, args.L)
     if len(set(spins)) != 1:
@@ -249,6 +262,7 @@ def cmd_super(args, out) -> int:
 
 
 def cmd_occupancy(args, out) -> int:
+    _refuse_unread(args, "M")
     rank = _parse_algebra(args.algebra)
     spins = _parse_spins(args.twoS, args.L)
     if args.table:

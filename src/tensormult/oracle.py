@@ -8,11 +8,13 @@ None of these routines share code or caches with the shift-operator path
 beyond the raw polynomial arithmetic and the validation of degree lists
 (`occupancy.spin_tuple`), so agreement is meaningful evidence.  In
 particular the alternant builds its own product of one-row characters, and
-`matrix_count` counts without the occupancy store.
+`matrix_count` counts without the occupancy store.  The memos these routines
+keep across calls are their own.
 """
 
 from functools import cache, lru_cache
 from math import factorial, prod
+from operator import sub
 
 from .errors import NonTerminating, SizeMismatch
 from .occupancy import spin_tuple
@@ -26,11 +28,8 @@ def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
     Multiplies the product, built here factor by factor, by the Vandermonde
     determinant and reads the coefficients at staircase-shifted exponents.
     """
-    spins = spin_tuple(spins)
     nvars = rank + 1
-    poly = vandermonde(nvars)
-    for two_s in spins:
-        poly = poly * complete_homogeneous(two_s, nvars)
+    poly = _alternant_product(spin_tuple(spins), nvars)
     out = {}
     for expv, coeff in poly.terms.items():
         # strictly decreasing staircase-shifted exponents <=> weakly decreasing rows
@@ -39,6 +38,29 @@ def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
             continue
         out[partition(rows)] = coeff
     return out
+
+
+@lru_cache(maxsize=1)
+def _latest_alternant(nvars: int) -> list:
+    """[degree list, product] of the latest alternant product in nvars
+    variables; only the latest number of variables is kept."""
+    return [(), vandermonde(nvars)]
+
+
+def _alternant_product(spins, nvars: int):
+    """The Vandermonde in nvars variables times h_d over the degrees d of spins.
+
+    A degree list that extends the latest one in the same variables
+    multiplies in only its new factors; any other starts from the Vandermonde.
+    """
+    latest = _latest_alternant(nvars)
+    done, poly = latest
+    if spins[: len(done)] != done:
+        done, poly = (), vandermonde(nvars)
+    for two_s in spins[len(done):]:
+        poly = poly * complete_homogeneous(two_s, nvars)
+    latest[:] = spins, poly
+    return poly
 
 
 def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:
@@ -60,44 +82,49 @@ def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:
     columns = tuple(chain[j] - chain[j + 1] for j in range(m + n))
     if any(c < 0 for c in columns):
         return 0
-    return _count_rows(0, columns, _row_memo(spins, shape), spins, m)
+    return _count_rows(spins, columns, _row_memo(shape), m)
 
 
 @lru_cache(maxsize=1)
-def _row_memo(spins, shape) -> dict:
-    """Counts keyed by (rows filled, remaining column sums) for one degree list
-    and shape; only the latest is kept, because callers count one at a time."""
+def _row_memo(shape) -> dict:
+    """Counts for one shape keyed by (remaining degrees, remaining column
+    sums), kept across calls: degree lists that share a suffix share their
+    subcounts.  The columns stay in their given order.  Only the latest
+    shape's memo is kept, because callers sweep one shape at a time."""
     return {}
 
 
-def _count_rows(row: int, columns, memo: dict, spins, evens: int) -> int:
-    """Matrices whose rows from `row` on have the degrees spins[row:] and whose
-    columns sum to `columns`; the columns after the first `evens` hold 0 or 1."""
-    if row == len(spins):
-        return int(not any(columns))
-    key = (row, columns)
-    if key not in memo:
-        memo[key] = sum(
-            _count_rows(row + 1, rest, memo, spins, evens)
-            for rest in _row_choices(columns, spins[row], evens)
-        )
-    return memo[key]
+def _count_rows(spins, columns, memo: dict, evens: int) -> int:
+    """Matrices with the row degrees spins and the column sums columns, which
+    add up to sum(spins); the columns after the first `evens` hold 0 or 1."""
+    if len(spins) < 2:
+        # the last row takes exactly the column sums that remain
+        return int(max(columns[evens:], default=0) <= 1)
+    key = (spins, columns)
+    count = memo.get(key)
+    if count is None:
+        count = 0
+        below = spins[1:]
+        for row in _rows(spins[0], len(columns), evens):
+            rest = tuple(map(sub, columns, row))
+            if min(rest) >= 0:
+                count += _count_rows(below, rest, memo, evens)
+        memo[key] = count
+    return count
 
 
-def _row_choices(columns, degree: int, evens: int):
-    """Remaining column sums after each row of the given degree that fits.
-
-    The first `evens` columns take any entry; the ones after them take 0 or 1.
-    """
-    if degree > sum(columns):
-        return
-    if not columns:
-        yield ()
-        return
-    cap = min(columns[0], degree, degree if evens > 0 else 1)
-    for value in range(cap + 1):
-        for rest in _row_choices(columns[1:], degree - value, evens - 1):
-            yield (columns[0] - value,) + rest
+@cache
+def _rows(degree: int, width: int, evens: int) -> tuple[tuple[int, ...], ...]:
+    """Every row of `width` nonnegative entries summing to degree whose
+    entries after the first `evens` are 0 or 1."""
+    if width == 1:
+        return ((degree,),) if evens > 0 or degree <= 1 else ()
+    cap = degree if evens > 0 else min(degree, 1)
+    return tuple(
+        (value,) + rest
+        for value in range(cap + 1)
+        for rest in _rows(degree - value, width - 1, evens - 1)
+    )
 
 
 def horizontal_strip_additions(lam, boxes: int, shape: tuple[int, int]):

@@ -16,7 +16,6 @@ zero-extended counts, so a bound equal to the queried weight vector loses
 nothing).
 """
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from math import factorial, prod
@@ -26,12 +25,43 @@ from .errors import InvalidTruncation, NotClosed
 from .sympoly import SparsePoly
 
 
-@dataclass(frozen=True)
-class SignedExpansion:
+class _Frozen:
+    """Immutable record, equal and hashed by the subclass's `_key()` and shown
+    by the attributes it names in `_shown`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__name__}({shown})"
+
+
+class SignedExpansion(_Frozen):
     """Finite list of (coefficient, shift vector) pairs in rank variables."""
 
-    rank: int
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ("rank", "terms")
+    _shown = __slots__
+
+    def __init__(self, rank: int, terms: tuple[tuple[int, tuple[int, ...]], ...]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "terms", terms)
+
+    def _key(self):
+        return (self.rank, self.terms)
 
     def __len__(self):
         return len(self.terms)
@@ -84,32 +114,34 @@ def label_groups(nlabels: int, roots) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(g) for g in groups.values()))
 
 
-@dataclass(frozen=True)
-class SuperRootSubset:
+class SuperRootSubset(_Frozen):
     """Subset of positive roots of the (m, n) hook algebra, split by parity on demand.
 
     The ordinary rank-r algebra is the shape (r + 1, 0), where every root is
     even.  Labels joined through the roots form groups: each group of two or
     more labels is a component (one A-type or hook factor), and the leftover
-    single labels stay abelian.
+    single labels stay abelian.  Equality and hashing read the shape and the
+    roots only.
     """
 
-    shape: tuple[int, int]
-    roots: tuple[tuple[int, int], ...]
-    rank: int = field(init=False, compare=False)
-    components: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
-    abelian: tuple[int, ...] = field(init=False, compare=False)
+    __slots__ = ("shape", "roots", "rank", "components", "abelian")
+    _shown = __slots__
 
-    def __post_init__(self):
-        m, n = self.shape
-        for i, j in self.roots:
+    def __init__(self, shape: tuple[int, int], roots: tuple[tuple[int, int], ...]):
+        m, n = shape
+        for i, j in roots:
             if not (1 <= i < j <= m + n):
-                raise ValueError(f"invalid root pair {(i, j)} for shape {self.shape}")
-        object.__setattr__(self, "roots", tuple(sorted(set(self.roots))))
-        groups = label_groups(m + n, self.roots)
+                raise ValueError(f"invalid root pair {(i, j)} for shape {shape}")
+        roots = tuple(sorted(set(roots)))
+        groups = label_groups(m + n, roots)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "rank", m + n - 1)
         object.__setattr__(self, "components", tuple(g for g in groups if len(g) >= 2))
         object.__setattr__(self, "abelian", tuple(g[0] for g in groups if len(g) == 1))
+
+    def _key(self):
+        return (self.shape, self.roots)
 
     def parity_split(self):
         m, _ = self.shape

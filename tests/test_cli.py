@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -195,6 +196,25 @@ def test_value_errors_exit_two(capsys):
     ):
         assert main(["verify", "--suite", suite, flag, "1"]) == 2
         assert f"{flag} does not apply to the {suite} suite" in capsys.readouterr().err
+    # a single-query flag that the run would not read is refused, naming it
+    for argv, message in (
+        (["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "2", "--lambda", "9,9",
+          "--table"], "--lambda is not read with --table"),
+        (["branch", "--algebra", "A2", "--roots", "L1-L2", "--twoS", "1", "--L", "2",
+          "--rows", "1,1", "--table"], "--rows is not read with --table"),
+        (["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--lambda", "6", "--table"],
+         "--lambda is not read with --table"),
+        (["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--M", "3,1", "--table"],
+         "--M is not read with --table"),
+        (["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--roots", "L1-L2",
+          "--M", "3,1", "--table"], "--M is not read with --table"),
+        (["occupancy", "--algebra", "A2", "--twoS", "1", "--L", "2", "--M", "1,1", "--table"],
+         "--M is not read with --table"),
+        (["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--M", "3,1", "--lambda", "6"],
+         "--lambda is not read with --M"),
+    ):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -408,3 +428,16 @@ def test_cross_process_determinism():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+def test_launch_imports_no_dataclasses():
+    """A launch imports neither dataclasses nor inspect (with its ast, dis and
+    tokenize), which would cost most of the package's import time."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import tensormult.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

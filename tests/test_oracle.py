@@ -1,4 +1,5 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -182,3 +183,79 @@ def test_matrix_count_examples():
     assert matrix_count((-1,), (1,) * 4, (2, 0)) == 0
     with pytest.raises(ValueError):
         matrix_count((1,), (1, 1), (2, 1))
+
+
+def _fresh_matrix_count(m_vec, spins, shape):
+    tensormult.oracle._row_memo.cache_clear()
+    return matrix_count(m_vec, spins, shape)
+
+
+def test_matrix_count_memo_is_order_free():
+    """Counts taken in a shuffled order, with the memo kept across calls,
+    equal counts taken each with a cleared memo."""
+    rng = random.Random(11)
+    points = []
+    for shape in ((2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
+        width = sum(shape)
+        base = tuple(rng.randint(0, 3) for _ in range(6))
+        # prefixes and suffixes of one degree list, and mixed lists with 0 degrees
+        lists = [base[:k] for k in range(7)] + [base[k:] for k in range(1, 6)]
+        lists += [tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 5)))
+                  for _ in range(4)]
+        for spins in lists:
+            total = sum(spins)
+            for _ in range(8):
+                # weights past either end of the range count zero
+                m_vec = tuple(rng.randint(-2, total + 2) for _ in range(width - 1))
+                if rng.random() < 0.7:
+                    m_vec = tuple(sorted(m_vec, reverse=True))
+                points.append((m_vec, spins, shape))
+    expected = [_fresh_matrix_count(*point) for point in points]
+    assert any(expected) and not all(expected)
+    order = list(range(len(points)))
+    rng.shuffle(order)
+    tensormult.oracle._row_memo.cache_clear()
+    for i in order:
+        assert matrix_count(*points[i]) == expected[i], points[i]
+    # the memo keeps the columns in their given order, so it has no
+    # symmetry built in: (4, 2) and (2, 4) are two entries
+    tensormult.oracle._row_memo.cache_clear()
+    matrix_count((2,), (3, 3), (2, 0))
+    matrix_count((4,), (3, 3), (2, 0))
+    keys = set(tensormult.oracle._row_memo((2, 0)))
+    assert {((3, 3), (4, 2)), ((3, 3), (2, 4))} <= keys
+
+
+def test_alternant_extends_only_its_latest_product(monkeypatch):
+    """The running product is reused only for an extension of the latest
+    degree list in the same variables; every result equals a fresh one."""
+    products = []
+    original = tensormult.oracle.complete_homogeneous
+
+    def counted(two_s, nvars):
+        products.append(two_s)
+        return original(two_s, nvars)
+
+    def fresh(spins, rank):
+        tensormult.oracle._latest_alternant.cache_clear()
+        return schur_expansion(spins, rank)
+
+    sequence = (
+        ((2, 1), 2, 2),  # a first list
+        ((2, 1, 3, 0), 2, 2),  # extends it: two new factors
+        ((2, 1, 3, 0), 2, 0),  # the same list again
+        ((1, 2), 2, 2),  # not an extension: rebuilt
+        ((1, 2, 2), 3, 3),  # another rank: rebuilt
+        ((1, 2), 3, 2),  # a prefix of the latest: rebuilt
+        ((), 3, 0),
+        ((1, 1), 3, 2),
+        ((2, 2, 1), 3, 3),  # longer, but not an extension: rebuilt
+    )
+    expected = [fresh(spins, rank) for spins, rank, _ in sequence]
+    assert expected[1] == schur_expansion_pieri((2, 1, 3, 0), 2)
+    tensormult.oracle._latest_alternant.cache_clear()
+    monkeypatch.setattr(tensormult.oracle, "complete_homogeneous", counted)
+    for (spins, rank, new_factors), want in zip(sequence, expected):
+        products.clear()
+        assert schur_expansion(spins, rank) == want, (spins, rank)
+        assert len(products) == new_factors, (spins, rank)
