@@ -12,7 +12,10 @@ M_r); the product of one-row hook characters is symmetric in the m even and,
 separately, in the n odd variables, so the count depends only on the
 exponents sorted within each block.  The store is keyed by these
 block-sorted exponent vectors and built by a pull over sites; a read by
-weight vector sorts the exponents.  Every public entry point zero-extends:
+weight vector sorts the exponents.  A point read (`hook_coefficient`) runs
+the same pull capped at the chamber it reads, keeping at every level only
+the chambers at or below that one, and returns the one count; the capped
+counts never leave this module.  Every public entry point zero-extends:
 weight vectors whose implied exponents go negative, or that the store never
 reaches, count zero, so signed shift sums are total functions.  The
 independent check of these counts is `oracle.matrix_count`, which shares no
@@ -24,7 +27,7 @@ from collections.abc import Mapping
 from functools import cache, lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import factorial, prod
-from operator import sub
+from operator import le, sub
 from types import MappingProxyType
 
 from .partitions import partitions_of
@@ -57,6 +60,9 @@ def _chamber(exponents: list, m: int) -> tuple[int, ...]:
     Sorts the list in place.  A vector with a negative exponent, or of the
     wrong length, gets a chamber that no store holds, so it reads zero.
     """
+    if m <= 1 and len(exponents) <= 2:
+        # both blocks have at most one entry: already sorted
+        return tuple(exponents)
     if len(exponents) == m:
         exponents.sort(reverse=True)
         return tuple(exponents)
@@ -142,20 +148,25 @@ def _site_monomials(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...]
     )
 
 
-@lru_cache(maxsize=1)
-def hook_table(spins, shape: tuple[int, int]) -> ChamberStore:
-    """The count store of the degree list in hook variables of shape (m, n).
+def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
+    """Counts of the degree list by chamber, pulled site by site.
 
     Each site of degree d pulls the counts of the sites before it:
     c(nu) = sum over the site's monomials p <= nu of c_before(chamber(nu - p)),
-    for every chamber nu the sites so far reach.  Only the most recent
-    (spins, shape) is kept, because every caller reads one store at a time.
+    for every chamber nu the sites so far reach.  With a `cap` (a chamber),
+    every level keeps only the chambers at or below it, each block compared
+    sorted descending: the pull only subtracts nonnegative monomials, so the
+    count at the cap reads nothing else, and the result is exact at the cap
+    and zero above it.
     """
     m, n = shape
 
     @cache
     def even_blocks(size):
-        return [lam + (0,) * (m - len(lam)) for lam in partitions_of(size, max_rows=m)]
+        blocks = [lam + (0,) * (m - len(lam)) for lam in partitions_of(size, max_rows=m)]
+        if cap is not None:
+            blocks = [evens for evens in blocks if all(map(le, evens, cap))]
+        return blocks
 
     counts = {(0,) * (m + n): 1}
     total = nsites = 0
@@ -168,7 +179,10 @@ def hook_table(spins, shape: tuple[int, int]) -> ChamberStore:
         before, counts = counts, {}
         # A site adds at most one to each odd exponent, so the odd parts are
         # at most nsites; for sites of one degree every such chamber is reached.
-        for odds in combinations_with_replacement(range(nsites, -1, -1), n):
+        odd_blocks = combinations_with_replacement(range(nsites, -1, -1), n)
+        if cap is not None:
+            odd_blocks = [odds for odds in odd_blocks if all(map(le, odds, cap[m:]))]
+        for odds in odd_blocks:
             for evens in even_blocks(total - sum(odds)):
                 key = evens + odds
                 count = 0
@@ -176,16 +190,33 @@ def hook_table(spins, shape: tuple[int, int]) -> ChamberStore:
                     count += before.get(_chamber(list(map(sub, key, p)), m), 0)
                 if count:
                     counts[key] = count
-    return ChamberStore(counts, shape, total)
+    return counts
+
+
+@lru_cache(maxsize=1)
+def hook_table(spins, shape: tuple[int, int]) -> ChamberStore:
+    """The count store of the degree list in hook variables of shape (m, n).
+
+    The uncapped pull, so every chamber the sites reach.  Only the most
+    recent (spins, shape) is kept, because every caller reads one store at a
+    time.
+    """
+    return ChamberStore(_pull(spins, shape), shape, sum(spins))
 
 
 def hook_coefficient(m_vec, spins, shape: tuple[int, int]) -> int:
     """Count at a weight vector in hook variables of shape (m, n), unvalidated.
 
     The ordinary rank-r count is the shape (r + 1, 0).  Total function:
-    out-of-range weights give 0.
+    out-of-range weights give 0.  A point read runs the pull capped at the
+    weight's chamber, so it builds no whole store and leaves the cached
+    `hook_table` as it is.
     """
-    return hook_table(spins, shape).get(m_vec, 0)
+    exponents = list(map(sub, (sum(spins), *m_vec), (*m_vec, 0)))
+    if len(exponents) != sum(shape) or min(exponents) < 0:
+        return 0
+    cap = _chamber(exponents, shape[0])
+    return _pull(spins, shape, cap).get(cap, 0)
 
 
 def hook_spins(two_s: int, nsites: int) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ iteration order.
 
 from functools import cache
 from itertools import permutations
+from operator import add
 
 from .errors import ArityMismatch, NotContained, TooManyRows
 from .partitions import conjugate, partition
@@ -74,7 +75,7 @@ class SparsePoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return SparsePoly(self.nvars, out)
 

@@ -21,8 +21,10 @@ def store_oracle_violations(
     samples: int = 200,
     seed: int = 20240811,
 ) -> list[dict]:
-    """The count store must agree with the independent matrix count, on whole
-    tables over the grid and at random points with mixed degrees."""
+    """The counts must agree with the independent matrix count: the table half
+    checks the uncapped pull (`occupancy_table`) over the grid, and the point
+    half checks the pull capped at each read (`occupancy_coefficient`) at
+    random points with mixed degrees."""
     violations = []
     for rank in range(1, rank_max + 1):
         for two_s in range(1, two_s_max + 1):

@@ -1,10 +1,15 @@
+import json
 import random
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, product
 from math import comb
 
 import pytest
 
+import tensormult.occupancy as occupancy_mod
+from tensormult.cli import main
 from tensormult.occupancy import (
+    hook_coefficient,
+    hook_spins,
     hook_table,
     occupancy_coefficient,
     occupancy_table,
@@ -183,3 +188,65 @@ def test_rank_one_palindrome():
                 assert occupancy_coefficient((m,), spins) == occupancy_coefficient(
                     (total - m,), spins
                 )
+
+
+# Point reads: the pull capped at the chamber being read.
+def test_capped_read_equals_full_read():
+    # every weight vector with entries from -1 to total + 1, so negative and
+    # out-of-range ones too; equal and mixed degree lists, zero-degree sites
+    # included, kept small enough that the box stays under 1,300 vectors
+    spin_lists = {
+        1: [(2, 2, 2), (3, 0, 1, 2), (0,)],
+        2: [(2, 2, 2), (3, 0, 1, 2), (0, 0)],
+        3: [(1, 1, 1, 1), (2, 0, 1, 1)],
+        4: [(1, 1, 1), (2, 0, 1)],
+    }
+    shapes = [(r + 1, 0) for r in range(1, 5)] + [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]
+    for shape in shapes:
+        nentries = sum(shape) - 1
+        for spins in spin_lists[nentries]:
+            store = hook_table(spins, shape)
+            span = range(-1, sum(spins) + 2)
+            for m_vec in product(span, repeat=nentries):
+                count = hook_coefficient(m_vec, spins, shape)
+                assert count == store.get(m_vec, 0) == matrix_count(m_vec, spins, shape), (
+                    shape, spins, m_vec,
+                )
+    # point reads leave the latest whole store cached
+    store = hook_table((2, 2, 2), (2, 1))
+    hook_coefficient((3, 1), (1, 2, 1), (2, 1))
+    assert hook_table((2, 2, 2), (2, 1)) is store
+
+
+def test_point_reads_build_no_whole_store(capsys, monkeypatch):
+    spins = hook_spins(4, 8)
+    shape = (5, 0)
+    full = hook_table(spins, shape)
+    assert len(full.chambers) == 831
+
+    def refuse(*args):
+        raise AssertionError("a point read built a whole store")
+
+    monkeypatch.setattr(occupancy_mod, "hook_table", refuse)
+    assert occupancy_coefficient((20, 12, 6, 2), spins) == full[20, 12, 6, 2]
+    assert super_occupancy_coefficient((2, 1), 1, 6, (2, 1)) == 30
+    argv = ["occupancy", "--algebra", "A4", "--twoS", "4", "--L", "8", "--M", "20,12,6,2"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["c"] == str(full[20, 12, 6, 2])
+
+    # the capped pull keeps one top-level chamber, the cap, where the whole
+    # store keeps 831, and it reads fewer than a quarter of the chambers
+    reads = []
+    chamber = occupancy_mod._chamber
+
+    def counted(exponents, m):
+        reads.append(1)
+        return chamber(exponents, m)
+
+    monkeypatch.setattr(occupancy_mod, "_chamber", counted)
+    occupancy_mod._pull(spins, shape)
+    full_reads = len(reads)
+    reads.clear()
+    cap = (12, 8, 6, 4, 2)
+    assert occupancy_mod._pull(spins, shape, cap) == {cap: full[20, 12, 6, 2]}
+    assert 4 * len(reads) < full_reads
