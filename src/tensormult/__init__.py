@@ -52,7 +52,6 @@ from .partitions import (
     lambda_from_m,
     m_from_lambda,
     partition,
-    reduce_redundant,
     super_m_from_hook,
 )
 from .sympoly import (

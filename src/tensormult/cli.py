@@ -15,8 +15,6 @@ from . import diffformula, occupancy, oracle, verify
 from .errors import TensormultError
 from .partitions import (
     format_partition,
-    hook_from_super_m,
-    is_partition,
     m_from_lambda,
     parse_partition,
     super_m_from_hook,
@@ -129,52 +127,51 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
 
     The subset is refused up front if it is open or its even group too large,
     and with --check the Pieri fold of the subset's shape is built once.
-    Every value comes from the one shift route.  A table lists the labels of
-    `diffformula.label_rows`, each entry with fields(label); it keeps a row
-    when the value or the oracle's is nonzero, and exits 3 on a mismatch or
-    when an oracle label has no row.  A single query takes (query fields,
-    weight vector, oracle label) from single(total); an oracle label of None
-    reads "unlabeled".
+    Every value comes from the one shift route through row(), which gives a
+    label's entry (fields(label), the value and the oracle's) and exits 3 on
+    a mismatch.  A table lists the labels of `diffformula.label_rows`, keeps
+    the rows where either value is nonzero, and exits 3 when an oracle label
+    has no row.  A single query is one row: single(total) gives (query
+    fields, weight vector), which `diffformula._subset_labels` labels or
+    refuses when it labels no highest weight.
     """
     components, odd = split_denominator(sub)
     total = sum(spins)
     check = getattr(args, "check", False)
-    expected = oracle.pieri_expansion(spins, sub.shape) if check else {}
+    unrowed = dict(oracle.pieri_expansion(spins, sub.shape)) if check else {}
     status = EXIT_OK
+
+    def row(m_vec, label):
+        nonlocal status
+        mu = str(diffformula.branching_multiplicity_from_m(m_vec, sub, spins))
+        entry = {"M": list(m_vec), **fields(label), "mu": mu}
+        if check:
+            entry["oracle"] = str(unrowed.pop(_diagram(label), 0))
+            if entry["oracle"] != mu:
+                status = EXIT_MISMATCH
+        return entry
+
     if args.table:
-        unrowed = dict(expected)
-        entries = []
-        for m_vec, label in diffformula.label_rows(sub, total):
-            mu = diffformula.branching_multiplicity_from_m(m_vec, sub, spins)
-            entry = {"M": list(m_vec), **fields(label), "mu": str(mu)}
-            want = mu
-            if check:
-                want = unrowed.pop(_diagram(label), 0)
-                entry["oracle"] = str(want)
-                if want != mu:
-                    status = EXIT_MISMATCH
-            if mu or want:
-                entries.append(entry)
+        every = (row(m_vec, label) for m_vec, label in diffformula.label_rows(sub, total))
+        entries = [e for e in every if e["mu"] != "0" or e.get("oracle", "0") != "0"]
         for lam in sorted(unrowed):
             print(f"oracle label {lam} has no table row", file=sys.stderr)
             status = EXIT_MISMATCH
         _emit({"query": query, "entries": entries}, args.format, out)
         return status
-    extra, m_vec, lam = single(total)
-    mu = str(diffformula.branching_multiplicity_from_m(m_vec, sub, spins))
+    extra, m_vec = single(total)
+    entry = row(m_vec, diffformula._subset_labels(m_vec, sub, total))
     if odd:
-        terms = len(weyl_denominator_super_subalgebra(sub, tuple(max(x, 0) for x in m_vec)))
+        terms = len(weyl_denominator_super_subalgebra(sub, m_vec))
     else:
         terms = weyl_order(components)
     doc = {
         "query": {**query, **extra},
-        "mu": mu,
-        "witness": {"M": list(m_vec), "terms": terms},
+        "mu": entry["mu"],
+        "witness": {"M": entry["M"], "terms": terms},
     }
     if check:
-        doc["oracle"] = "unlabeled" if lam is None else str(expected.get(lam, 0))
-        if doc["oracle"] not in ("unlabeled", mu):
-            status = EXIT_MISMATCH
+        doc["oracle"] = entry["oracle"]
     _emit(doc, args.format, out)
     return status
 
@@ -189,7 +186,7 @@ def cmd_multiplicity(args, out) -> int:
         if getattr(args, "lambda") is None:
             raise ValueError("need --lambda or --table")
         lam = parse_partition(getattr(args, "lambda"))
-        return {"lambda": list(lam)}, m_from_lambda(lam, rank, total), lam
+        return {"lambda": list(lam)}, m_from_lambda(lam, rank, total)
 
     return _run_query(args, out, full_subalgebra(rank), spins, query, _lambda_fields, single)
 
@@ -213,15 +210,7 @@ def cmd_branch(args, out) -> int:
         if args.rows is None:
             raise ValueError("need --rows or --table")
         rows = [int(t) for t in args.rows.split(",")]
-        m_vec = diffformula.ambient_rows_to_m(rows, rank, total)
-        padded = rows + [0] * (rank + 1 - len(rows))
-        for g in spec.components:
-            if not is_partition([padded[a - 1] for a in g]):
-                raise ValueError(
-                    f"rows {args.rows} increase inside component {list(g)}, "
-                    f"so they label no highest weight"
-                )
-        return {"rows": rows}, m_vec, None
+        return {"rows": rows}, diffformula.ambient_rows_to_m(rows, rank, total)
 
     return _run_query(args, out, spec, spins, query, _branch_fields, single)
 
@@ -252,11 +241,7 @@ def cmd_super(args, out) -> int:
             m_vec = super_m_from_hook(parse_partition(getattr(args, "lambda")), total, shape)
         else:
             raise ValueError("need --lambda, --M, or --table")
-        try:
-            lam = hook_from_super_m(m_vec, total, shape)
-        except TensormultError:
-            lam = None
-        return {"M": list(m_vec)}, m_vec, lam
+        return {"M": list(m_vec)}, m_vec
 
     return _run_query(args, out, sub, spins, query, fields, single)
 

@@ -177,13 +177,13 @@ def branching_weight_from_m(m_vec, spec: SuperRootSubset, two_sl: int):
     """Per-component diagrams and torus charges of an ambient weight vector.
 
     Returns (diagrams, charges) aligned with spec.components and spec.abelian,
-    or None when some component's extracted rows do not weakly decrease (the
-    vector then labels no highest weight for the subalgebra).
+    or None when the vector labels no highest weight for the subalgebra (see
+    `_subset_labels`).
     """
-    label = _subset_labels(m_vec, spec, two_sl)
-    if label is None:
+    try:
+        diagrams, charges = _subset_labels(m_vec, spec, two_sl)
+    except NonStandardWeight:
         return None
-    diagrams, charges = label
     return tuple(lam for _, lam in diagrams), tuple(value for _, value in charges)
 
 
@@ -257,23 +257,34 @@ def _subset_labels(m_vec, sub: SuperRootSubset, total: int):
     the hook shape `_parts` gives it; its diagram is assembled from the
     ambient label values (rows for even labels, conjugated columns for odd
     ones) by `hook_from_super_m`.  Returns (diagrams, charges), each a list of
-    (labels, data) pairs, or None when a label value is negative or a
-    component's values label no diagram.  `label_rows` is its inverse.
+    (labels, data) pairs.  `label_rows` is its inverse, and a single query is
+    labelled here.
+
+    Away from the labels the shift sum is a signed, reflected number and not
+    a multiplicity, so a vector of the wrong length, with a negative label
+    value, or whose values at some component assemble to no diagram is
+    refused with NonStandardWeight, which names the values.
     """
-    chain = (total,) + tuple(m_vec) + (0,)
+    m_vec = tuple(m_vec)
+    if len(m_vec) != sub.rank:
+        raise NonStandardWeight(f"expected {sub.rank} entries for shape {sub.shape}, got {m_vec}")
+    chain = (total,) + m_vec + (0,)
     values = [chain[i] - chain[i + 1] for i in range(len(chain) - 1)]
+
+    def refuse(reason):
+        return NonStandardWeight(f"M={m_vec} of degree {total} gives the {reason}, "
+                                 f"so it labels no highest weight")
+
     if any(v < 0 for v in values):
-        return None
+        raise refuse(f"negative label values {[v for v in values if v < 0]}")
     diagrams = []
     for g, shape in _parts(sub)[: len(sub.components)]:
         part = [values[a - 1] for a in g]
         size = sum(part)
         try:
-            lam = hook_from_super_m(
-                tuple(size - s for s in accumulate(part[:-1])), size, shape
-            )
+            lam = hook_from_super_m(tuple(size - s for s in accumulate(part[:-1])), size, shape)
         except NonStandardWeight:
-            return None
+            raise refuse(f"values {part} at component {list(g)}") from None
         diagrams.append((g, lam))
     return diagrams, [(a, values[a - 1]) for a in sub.abelian]
 
@@ -320,8 +331,12 @@ def label_rows(sub: SuperRootSubset, total: int):
 
 
 def super_branching_weight_from_m(m_vec, sub: SuperRootSubset, two_s: int, nsites: int):
-    """Sub-diagram and charge labels of an ambient hook weight vector (see _subset_labels)."""
-    return _subset_labels(m_vec, sub, two_s * nsites)
+    """Sub-diagram and charge labels of an ambient hook weight vector (see
+    _subset_labels), or None when it labels no highest weight."""
+    try:
+        return _subset_labels(m_vec, sub, two_s * nsites)
+    except NonStandardWeight:
+        return None
 
 
 def even_branching_multiplicity(

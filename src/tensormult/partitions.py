@@ -1,5 +1,6 @@
 """Young diagrams, hook diagrams, and the dictionaries between diagrams and
-occupancy weight vectors.
+occupancy weight vectors.  The ordinary dictionaries (`m_from_lambda`,
+`lambda_from_m`) are the hook ones at shape (rank + 1, 0).
 
 Partitions are plain tuples of nonnegative integers in canonical form
 (weakly decreasing, no trailing zeros).  Weight vectors ("M vectors") are
@@ -48,54 +49,18 @@ def hook_lengths(lam) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def reduce_redundant(lam, rank: int) -> tuple[int, ...]:
-    """Strip full columns from a redundant (rank+1)-row diagram.
-
-    Subtracts the last part from every part when the diagram has exactly
-    rank+1 nonzero rows; diagrams with fewer rows are returned unchanged.
-    """
-    lam = partition(lam)
-    if len(lam) > rank + 1:
-        raise TooManyRows(f"{lam} has more than {rank + 1} rows")
-    if len(lam) < rank + 1:
-        return lam
-    return partition(p - lam[-1] for p in lam)
-
-
-def is_standard_m(m_vec, two_sl: int) -> bool:
-    """True when two_sl >= M_1 >= ... >= M_r >= 0."""
-    chain = (two_sl,) + tuple(m_vec) + (0,)
-    return all(chain[i] >= chain[i + 1] for i in range(len(chain) - 1))
-
-
 def lambda_from_m(m_vec, two_sl: int) -> tuple[int, ...]:
-    """Diagram with rows M_{i-1} - M_i; fails when the rows do not weakly decrease.
-
-    No reflection of non-standard weights is attempted: callers are expected
-    to stay in the region where the difference sequence is a partition.
-    """
-    diffs = _row_differences(m_vec, two_sl)
-    if any(d < 0 for d in diffs) or any(
-        diffs[i] < diffs[i + 1] for i in range(len(diffs) - 1)
-    ):
-        raise NonStandardWeight(f"M={tuple(m_vec)} gives non-partition rows {diffs}")
-    return partition(diffs)
-
-
-def _row_differences(m_vec, two_sl):
-    chain = (two_sl,) + tuple(m_vec) + (0,)
-    return tuple(chain[i] - chain[i + 1] for i in range(len(chain) - 1))
+    """Diagram with rows M_{i-1} - M_i, for the algebra of rank len(m_vec): the
+    (rank + 1, 0) case of `hook_from_super_m`, so it fails with
+    NonStandardWeight when the rows do not weakly decrease."""
+    return hook_from_super_m(m_vec, two_sl, (len(m_vec) + 1, 0))
 
 
 def m_from_lambda(lam, rank: int, two_sl: int) -> tuple[int, ...]:
-    """Weight vector M_j = two_sl - (lam_1 + ... + lam_j); inverse of lambda_from_m."""
-    lam = partition(lam)
-    if len(lam) > rank + 1:
-        raise TooManyRows(f"{lam} has more than {rank + 1} rows")
-    if sum(lam) != two_sl:
-        raise SizeMismatch(f"|{lam}| = {sum(lam)} != {two_sl}")
-    padded = lam + (0,) * (rank + 1 - len(lam))
-    return tuple(two_sl - s for s in accumulate(padded[:rank]))
+    """Weight vector M_j = two_sl - (lam_1 + ... + lam_j), the inverse of
+    lambda_from_m: the (rank + 1, 0) case of `super_m_from_hook`, so it fails
+    with TooManyRows for a diagram of more than rank + 1 rows."""
+    return super_m_from_hook(lam, two_sl, (rank + 1, 0))
 
 
 def fits_hook(lam, shape: tuple[int, int]) -> bool:
@@ -110,7 +75,8 @@ def super_m_from_hook(lam, two_sl: int, shape: tuple[int, int]) -> tuple[int, ..
     m, n = shape
     lam = partition(lam)
     if not fits_hook(lam, shape):
-        raise TooManyRows(f"{lam} does not fit the {shape}-hook")
+        fit = f"does not fit the {shape}-hook" if n else f"has more than {m} rows"
+        raise TooManyRows(f"{lam} {fit}")
     if sum(lam) != two_sl:
         raise SizeMismatch(f"|{lam}| = {sum(lam)} != {two_sl}")
     return tuple(two_sl - s for s in accumulate(hook_rows(lam, shape)[: m + n - 1]))
@@ -126,19 +92,19 @@ def hook_rows(lam, shape: tuple[int, int]) -> tuple[int, ...]:
 
 
 def hook_from_super_m(m_vec, two_sl: int, shape: tuple[int, int]) -> tuple[int, ...]:
-    """Hook diagram of a weight vector; fails when the data do not assemble to one."""
+    """Hook diagram of a weight vector: its label values M_{i-1} - M_i are the
+    first m rows, then the columns of the rows below row m.  Fails when they
+    assemble to no diagram."""
     m, n = shape
     m_vec = tuple(m_vec)
     if len(m_vec) != m + n - 1:
         raise NonStandardWeight(f"expected {m + n - 1} entries for shape {shape}")
-    diffs = _row_differences(m_vec, two_sl)
-    head, cols = diffs[:m], diffs[m:]
-    if any(d < 0 for d in diffs) or not is_partition(head) or not is_partition(cols):
-        raise NonStandardWeight(f"M={m_vec} gives non-partition data {diffs}")
-    assembled = head + conjugate(cols)
-    if not is_partition(assembled):
-        raise NonStandardWeight(f"M={m_vec} assembles to non-partition {assembled}")
-    return partition(assembled)
+    chain = (two_sl,) + m_vec + (0,)
+    values = tuple(chain[i] - chain[i + 1] for i in range(m + n))
+    head, cols = values[:m], values[m:]
+    if is_partition(head) and is_partition(cols) and is_partition(head + conjugate(cols)):
+        return partition(head + conjugate(cols))
+    raise NonStandardWeight(f"M={m_vec} gives the values {values}, which assemble to no diagram")
 
 
 def partitions_of(total: int, max_rows: int | None = None, max_part: int | None = None):

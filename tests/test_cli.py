@@ -173,6 +173,25 @@ def test_value_errors_exit_two(capsys):
     assert main(["branch", "--algebra", "A2", "--roots", "L1-L2", "--twoS", "2", "--L", "2",
                  "--rows", "1,3"]) == 2
     assert "component [1, 2]" in capsys.readouterr().err
+    # a weight vector that labels no highest weight is refused, naming why: the
+    # shift sum there is a signed, reflected number and not a multiplicity
+    for argv, message in (
+        (["super", "--shape", "2,1", "--twoS", "1", "--L", "3", "--M", "3,1"],
+         "component [1, 2, 3]"),
+        (["super", "--shape", "2,1", "--twoS", "2", "--L", "3", "--roots", "L1-L2", "--M", "5,1"],
+         "component [1, 2]"),
+        (["super", "--shape", "2,1", "--twoS", "1", "--L", "3", "--M=7,1"],
+         "negative label values [-4]"),
+        (["super", "--shape", "2,1", "--twoS", "1", "--L", "3", "--M", "3,1,1"],
+         "expected 2 entries for shape (2, 1), got (3, 1, 1)"),
+        (["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "4", "--lambda", "1,1,1,1"],
+         "(1, 1, 1, 1) has more than 3 rows"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        if "component" in message:
+            assert "labels no highest weight" in err
     # no oracle covers hook restrictions, so a requested check is refused
     assert main(["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--roots", "L2-K1",
                  "--table", "--check"]) == 2
@@ -320,6 +339,38 @@ def test_super_single_with_check(capsys):
     doc = json.loads(out)
     assert doc["mu"] == "5" == doc["oracle"]
     assert doc["witness"]["terms"] > 0
+
+
+def test_single_query_is_its_table_row(capsys):
+    # every row of a table, asked as a single query, prints that row's value
+    # and, where the table is checked, its oracle value
+    def label_values(m_vec, total):
+        chain = [total, *m_vec, 0]
+        return ",".join(str(a - b) for a, b in zip(chain, chain[1:]))
+
+    for table, queries in (
+        (["multiplicity", "--algebra", "A2", "--twoS", "2", "--L", "4", "--check"],
+         lambda e: [["--lambda", ",".join(map(str, e["lambda"]))]]),
+        (["branch", "--algebra", "A3", "--roots", "L1-L2,L3-L4", "--twoS", "1", "--L", "4"],
+         lambda e: [["--rows", label_values(e["M"], 4)]]),
+        (["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--check"],
+         lambda e: [["--M", ",".join(map(str, e["M"]))],
+                    ["--lambda", ",".join(map(str, e["lambda"]))]]),
+        (["super", "--shape", "2,2", "--twoS", "1", "--L", "4", "--roots", "L1-L2,K1-K2"],
+         lambda e: [["--M", ",".join(map(str, e["M"]))]]),
+    ):
+        status, out = run_cli(capsys, *table, "--table")
+        assert status == 0
+        entries = json.loads(out)["entries"]
+        assert entries
+        for entry in entries:
+            for query in queries(entry):
+                status, out = run_cli(capsys, *table, *query)
+                assert status == 0, (table, query)
+                doc = json.loads(out)
+                assert doc["mu"] == entry["mu"], (table, query)
+                assert doc.get("oracle") == entry.get("oracle"), (table, query)
+                assert doc["witness"]["M"] == entry["M"]
 
 
 def test_check_mismatch_exits_three(capsys, monkeypatch):

@@ -21,7 +21,7 @@ from tensormult.diffformula import (
     super_multiplicity,
     super_multiplicity_from_m,
 )
-from tensormult.errors import SizeMismatch, TooManyRows
+from tensormult.errors import NonStandardWeight, SizeMismatch, TooManyRows
 from tensormult.occupancy import hook_table, occupancy_coefficient, standard_m_vectors
 from tensormult.oracle import matrix_count, pieri_expansion, schur_expansion, weyl_dimension
 from tensormult.partitions import (
@@ -254,9 +254,10 @@ def test_label_rows_invert_the_weight_filter():
             for total in range(9):
                 filtered = []
                 for m_vec in standard_m_vectors(rank, total):
-                    label = _subset_labels(m_vec, sub, total)
-                    if label is not None:
-                        filtered.append((m_vec, label))
+                    try:
+                        filtered.append((m_vec, _subset_labels(m_vec, sub, total)))
+                    except NonStandardWeight:
+                        pass
                 assert label_rows(sub, total) == filtered, (shape, sub.roots, total)
 
 
