@@ -135,7 +135,6 @@ class ChamberStore(Mapping):
         return sum(_orbit_size(key[:m]) * _orbit_size(key[m:]) for key in self._counts)
 
 
-@cache
 def _site_monomials(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of the one-row hook character of degree two_s: an even
     composition of two_s - k and an odd 0/1 vector of weight k."""
@@ -148,16 +147,33 @@ def _site_monomials(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...]
     )
 
 
+@cache
+def _monomials_by_support(two_s: int, shape: tuple[int, int]):
+    """The site monomials of degree two_s indexed by support: entry [e][o]
+    holds those that are zero past the first e even and the first o odd
+    positions, so (m + 1)(n + 1) lists per degree."""
+    m, n = shape
+    monomials = _site_monomials(two_s, shape)
+    return tuple(
+        tuple(tuple(p for p in monomials if not any(p[e:m]) and not any(p[m + o :]))
+              for o in range(n + 1))
+        for e in range(m + 1)
+    )
+
+
 def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
     """Counts of the degree list by chamber, pulled site by site.
 
     Each site of degree d pulls the counts of the sites before it:
     c(nu) = sum over the site's monomials p <= nu of c_before(chamber(nu - p)),
-    for every chamber nu the sites so far reach.  With a `cap` (a chamber),
-    every level keeps only the chambers at or below it, each block compared
-    sorted descending: the pull only subtracts nonnegative monomials, so the
-    count at the cap reads nothing else, and the result is exact at the cap
-    and zero above it.
+    for every chamber nu the sites so far reach.  A chamber is block-sorted
+    descending, so its zeros trail in each block, and it reads only the
+    monomials inside its support (`_monomials_by_support`): one that is
+    nonzero at a zero of nu exceeds nu and would read zero.  With a `cap` (a
+    chamber), every level keeps only the chambers at or below it, each block
+    compared sorted descending: the pull only subtracts nonnegative
+    monomials, so the count at the cap reads nothing else, and the result is
+    exact at the cap and zero above it.
     """
     m, n = shape
 
@@ -175,7 +191,7 @@ def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
             continue
         total += two_s
         nsites += 1
-        monomials = _site_monomials(two_s, shape)
+        by_support = _monomials_by_support(two_s, shape)
         before, counts = counts, {}
         # A site adds at most one to each odd exponent, so the odd parts are
         # at most nsites; for sites of one degree every such chamber is reached.
@@ -183,10 +199,11 @@ def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
         if cap is not None:
             odd_blocks = [odds for odds in odd_blocks if all(map(le, odds, cap[m:]))]
         for odds in odd_blocks:
+            odd_support = n - odds.count(0)
             for evens in even_blocks(total - sum(odds)):
                 key = evens + odds
                 count = 0
-                for p in monomials:
+                for p in by_support[m - evens.count(0)][odd_support]:
                     count += before.get(_chamber(list(map(sub, key, p)), m), 0)
                 if count:
                     counts[key] = count

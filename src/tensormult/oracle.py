@@ -13,6 +13,7 @@ keep across calls are their own.
 """
 
 from functools import cache, lru_cache
+from itertools import accumulate
 from math import factorial, prod
 from operator import sub
 
@@ -127,49 +128,57 @@ def _rows(degree: int, width: int, evens: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def horizontal_strip_additions(lam, boxes: int, shape: tuple[int, int]):
+def horizontal_strip_additions(
+    lam, boxes: int, shape: tuple[int, int]
+) -> list[tuple[int, ...]]:
     """All diagrams in the (m, n)-hook obtained from lam by adding `boxes`
-    cells, no two in a column.
+    cells, no two in a column, largest first row first.
 
-    Rows after the m-th hold at most n cells, so at n = 0 this is the row cap
-    of m variables.
+    Enumerates the row additions a_i directly within their caps: a_0 <= boxes,
+    a_i <= lam_{i-1} - lam_i (the strip condition), and a row after the m-th
+    holds at most n cells, so at n = 0 this is the row cap of m variables.  A
+    branch stops when the rows below cannot hold the cells that are left.  A
+    lam outside the hook gets no diagram.
     """
-    lam = partition(lam)
+    old = list(partition(lam))
     m, n = shape
     # a strip adds at most one row, and at n = 0 none past the m-th
-    rows = len(lam) + 1 if n or len(lam) < m else len(lam)
+    if n or len(old) < m:
+        old.append(0)
+    caps = [boxes] + list(map(sub, old, old[1:]))
+    for i in range(m, len(old)):
+        caps[i] = min(caps[i], n - old[i])
+    # room[i]: the most cells rows i, i + 1, ... can take
+    room = list(accumulate(caps[::-1]))[::-1] + [0]
+    if min(caps) < 0:
+        return []  # lam lies outside the hook
+    out = []
+    grown = old[:]
+    last = len(old) - 1
 
-    def rec(i, remaining, prev_new):
-        if i == rows:
-            if remaining == 0:
-                yield ()
+    def fill(i, left):
+        if i == last:
+            grown[i] = old[i] + left
+            out.append(tuple(grown) if grown[i] else tuple(grown[:i]))
             return
-        old = lam[i] if i < len(lam) else 0
-        upper = min(prev_new, old + remaining)
-        lower = old
-        # strip condition: new row i stays within the previous old row
-        if i > 0:
-            upper = min(upper, lam[i - 1])
-        if i >= m:
-            upper = min(upper, n)
-        for value in range(upper, lower - 1, -1):
-            for rest in rec(i + 1, remaining - (value - old), value):
-                yield (value,) + rest
+        for added in range(min(caps[i], left), max(0, left - room[i + 1]) - 1, -1):
+            grown[i] = old[i] + added
+            fill(i + 1, left - added)
 
-    total = sum(lam) + boxes
-    for grown in rec(0, boxes, total):
-        yield partition(grown)
+    fill(0, boxes)
+    return out
 
 
 def pieri_expansion(spins, shape: tuple[int, int]) -> dict[tuple[int, ...], int]:
     """Multiplicity of every hook character in a product of one-row ones.
 
-    Folds one horizontal strip per factor (the Pieri rule) and drops every
-    diagram outside the (m, n)-hook at each step.  Hook Schur functions are
-    the image of Schur functions under a ring map and vanish exactly outside
-    the hook (Berele-Regev 1987; Macdonald I.3, I.5), and removing boxes
-    from a hook diagram leaves a hook diagram, so the early cut is exact.
-    The ordinary rank-r case is the shape (r + 1, 0).
+    Folds one horizontal strip per factor (the Pieri rule), each step
+    enumerating only the bounded row additions that stay inside the
+    (m, n)-hook.  Hook Schur functions are the image of Schur functions under
+    a ring map and vanish exactly outside the hook (Berele-Regev 1987;
+    Macdonald I.3, I.5), and removing boxes from a hook diagram leaves a hook
+    diagram, so the early cut is exact.  The ordinary rank-r case is the
+    shape (r + 1, 0).
     """
     spins = spin_tuple(spins)
     acc = {(): 1}

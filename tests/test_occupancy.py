@@ -2,6 +2,7 @@ import json
 import random
 from itertools import accumulate, permutations, product
 from math import comb
+from operator import le
 
 import pytest
 
@@ -172,6 +173,22 @@ def test_hook_store_reads_by_block_sorted_exponents():
                             )
 
 
+def test_support_index_skips_only_zero_reads():
+    # a chamber reads the monomials listed at its support; every monomial at
+    # or below it must be listed, and a listed one is zero at its zeros
+    for spins, shape in (((3,) * 4, (4, 0)), ((2,) * 4, (2, 2)), ((3,) * 3, (3, 1))):
+        m, n = shape
+        monomials = occupancy_mod._site_monomials(spins[0], shape)
+        by_support = occupancy_mod._monomials_by_support(spins[0], shape)
+        for key in hook_table(spins, shape).chambers:
+            listed = by_support[m - key[:m].count(0)][n - key[m:].count(0)]
+            for p in monomials:
+                if all(map(le, p, key)):
+                    assert p in listed, (shape, key, p)
+            for p in listed:
+                assert all(x == 0 for x, y in zip(p, key) if y == 0), (shape, key, p)
+
+
 def test_symmetry_identities_small_grid():
     for rank in (1, 2, 3):
         for two_s in (1, 2, 3):
@@ -246,6 +263,9 @@ def test_point_reads_build_no_whole_store(capsys, monkeypatch):
     monkeypatch.setattr(occupancy_mod, "_chamber", counted)
     occupancy_mod._pull(spins, shape)
     full_reads = len(reads)
+    # a chamber reads only the monomials inside its support (144,690 reads
+    # when every monomial was read)
+    assert full_reads <= 105_000
     reads.clear()
     cap = (12, 8, 6, 4, 2)
     assert occupancy_mod._pull(spins, shape, cap) == {cap: full[20, 12, 6, 2]}

@@ -1,5 +1,6 @@
 import ast
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from tensormult.oracle import (
     schur_expansion_pieri,
     weyl_dimension,
 )
-from tensormult.partitions import m_from_lambda, partitions_of
+from tensormult.partitions import hook_partitions_of, m_from_lambda, partitions_of
 from tensormult.sympoly import schur_tableaux
 
 
@@ -72,6 +73,38 @@ def test_horizontal_strips():
     assert set(horizontal_strip_additions((2, 1), 2, (1, 2))) == {
         (4, 1), (3, 2), (3, 1, 1), (2, 2, 1),
     }
+
+
+def test_horizontal_strips_equal_their_definition():
+    # brute force: every hook diagram nu of size |lam| + b that contains lam
+    # and has lam_i >= nu_{i+1} for every i
+    for shape in ((2, 0), (3, 0), (1, 1), (2, 1), (1, 2), (2, 2)):
+        for size in range(7):
+            inside = set(hook_partitions_of(size, shape))
+            for lam in partitions_of(size):
+                for boxes in range(5):
+                    strips = horizontal_strip_additions(lam, boxes, shape)
+                    if lam not in inside:
+                        assert strips == [], (shape, lam, boxes)
+                        continue
+                    pad = (0,) * (size + boxes)
+                    expected = {
+                        nu for nu in hook_partitions_of(size + boxes, shape)
+                        if all(a <= b for a, b in zip(lam, nu + pad))
+                        and all(a >= b for a, b in zip(lam + pad, nu[1:]))
+                    }
+                    assert len(strips) == len(set(strips)), (shape, lam, boxes)
+                    assert set(strips) == expected, (shape, lam, boxes)
+
+
+def test_pieri_fold_obeys_the_dimension_count():
+    # at benchmark size: the fold's multiplicities weighted by dimension give
+    # the dimension C(d + m - 1, d)^L of the tensor power
+    for two_s, nsites, nvars in ((6, 8, 3), (4, 8, 4), (3, 7, 5)):
+        mults = pieri_expansion((two_s,) * nsites, (nvars, 0))
+        assert sum(mu * weyl_dimension(lam, nvars) for lam, mu in mults.items()) == (
+            comb(two_s + nvars - 1, two_s) ** nsites
+        )
 
 
 def test_hook_schur_expansion_six_factors():
