@@ -225,7 +225,7 @@ def cmd_super(args, out) -> int:
         raise ValueError("hook queries use one repeated degree")
     query = {"shape": list(shape), "twoS": spins[0], "L": len(spins)}
     fields = _lambda_fields
-    if args.roots:
+    if args.roots is not None:
         if args.check:
             raise ValueError("--check has no oracle for hook restrictions (--roots)")
         sub = SuperRootSubset(shape, parse_roots(args.roots, shape))

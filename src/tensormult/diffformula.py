@@ -6,15 +6,18 @@ Zero-extension of the counts makes every sum finite and total, so no
 boundary cases need special handling.
 
 There is one shift route, `_group_sum`, for ordinary, branching and hook
-queries alike.  The denominator of a closed root subset is its even Weyl
-denominator divided by (1 + t^beta) over its odd roots beta.  The even part
-is a sum over the Weyl group of the even roots, a product of symmetric
-groups, and `weyl.weyl_group_terms` walks that group per query, cutting
-every branch that would take a monomial exponent below zero.  The odd part
-acts on the counts once: the walk reads the count store divided by the odd
-factors,
+queries alike, and it works on the monomial exponents e = (T - M_1, M_1 -
+M_2, ..., M_r) of the queried weight vector M of degree T.  The denominator
+of a closed root subset is its even Weyl denominator divided by (1 + t^beta)
+over its odd roots beta.  The even part is a sum over the Weyl group of the
+even roots, a product of symmetric groups, and `weyl.weyl_group_terms`
+walks that group per query, cutting every branch that would take an
+exponent below zero.  The odd part acts on the counts once: the walk reads
+the count store divided by the odd factors.  The odd root (i, j) moves
+exponent from its odd label j to its even label i, so with u_a the unit
+vector at label a,
 
-    q_beta(M) = sum over k >= 0 of (-1)^k q'(M - k beta),
+    q_beta(e) = sum over k >= 0 of (-1)^k q'(e + k (u_i - u_j)),
 
 where q' is the quotient by the odd roots before beta (the store itself for
 none).  The quotient is evaluated lazily and memoised one odd root at a
@@ -58,40 +61,39 @@ def apply_shift(expansion: SignedExpansion, c_eval, m_vec) -> int:
     return total
 
 
-def _odd_quotient(store, total: int, odd):
-    """Counts of the store, of degree total, divided by (1 + t^root) over the
-    odd roots, as a function of the weight vector.
+def _odd_quotient(store, odd):
+    """Counts of the store divided by (1 + t^root) over the odd roots, as a
+    function of the exponent vector.
 
     The roots are divided last to first, one memo each.  The memos are keyed
-    by weight vector, because a division by only some of the odd roots is not
-    symmetric within the blocks; only the reads of the store itself go
-    through its chamber sort.  An odd root (i, j)
-    moves k units of monomial exponent from its odd label j to its even
-    label i.  No odd root raises an odd label, so the steps stop once the
-    exponent at j would go negative; when no root still to be divided raises
-    i either, they start where its exponent is nonnegative.  Every read of the
-    store is then at a weight whose exponents are all nonnegative, provided
-    the queried weight has nonnegative exponents at the labels that no odd
-    root raises.
+    by exponent vector as given, because a division by only some of the odd
+    roots is not symmetric within the blocks; only the reads of the store
+    itself go through its chamber sort.  Step k of an odd root (i, j) moves
+    k units of exponent from its odd label j to its even label i.  No
+    odd root raises an odd label, so the steps stop once the exponent at j
+    would go negative; when no root still to be divided raises i either,
+    they start where its exponent is nonnegative.  Every read of the store
+    is then at nonnegative exponents, provided the queried vector is
+    nonnegative at the labels that no odd root raises.
     """
     memos = [{} for _ in odd]
     raised = [any(i == root[0] for root in odd[:level]) for level, (i, _) in enumerate(odd)]
 
-    def quotient(level, m_vec):
+    def quotient(level, exponents):
         if level < 0:
-            return store.get(m_vec, 0)
+            return store.count(exponents)
         memo = memos[level]
-        value = memo.get(m_vec)
+        value = memo.get(exponents)
         if value is None:
             i, j = odd[level]
-            chain = (total,) + m_vec + (0,)
-            first = 0 if raised[level] else max(chain[i] - chain[i - 1], 0)
-            head, moved, tail = m_vec[: i - 1], m_vec[i - 1 : j - 1], m_vec[j - 1 :]
+            first = 0 if raised[level] else max(-exponents[i - 1], 0)
+            moved = list(exponents)
             value = 0
-            for k in range(first, chain[j - 1] - chain[j] + 1):
-                term = quotient(level - 1, head + tuple(x - k for x in moved) + tail)
+            for k in range(first, exponents[j - 1] + 1):
+                moved[i - 1], moved[j - 1] = exponents[i - 1] + k, exponents[j - 1] - k
+                term = quotient(level - 1, tuple(moved))
                 value += -term if k & 1 else term
-            memo[m_vec] = value
+            memo[exponents] = value
         return value
 
     return partial(quotient, len(odd) - 1)
@@ -101,11 +103,11 @@ def _odd_quotient(store, total: int, odd):
 _latest = (None, None, None)
 
 
-def _counts(store, total: int, odd):
+def _counts(store, odd):
     """The counts the group walk reads: the store, divided by its odd roots."""
     global _latest
     if _latest[0] is not store or _latest[1] != odd:
-        _latest = (store, odd, _odd_quotient(store, total, odd))
+        _latest = (store, odd, _odd_quotient(store, odd))
     return _latest[2]
 
 
@@ -115,22 +117,21 @@ def _group_sum(spec: SuperRootSubset, m_vec, spins) -> int:
     A sum over the even Weyl group of the counts divided by the odd factors,
     visiting only the group terms that keep the exponent of every label
     nonnegative (the others read zero counts).  Odd roots raise the exponent
-    at their even labels, so those labels get the exponent rank, which cuts
-    nothing.
+    at their even labels, so the walk is given the exponent rank there,
+    which cuts nothing.
     """
     m_vec = tuple(m_vec)
     if len(m_vec) != spec.rank:
         raise ValueError(f"expected {spec.rank} entries for shape {spec.shape}, got {m_vec}")
     components, odd = split_denominator(spec)
-    total = sum(spins)
-    counts = _counts(occupancy.hook_table(spins, spec.shape), total, odd)
-    chain = (total,) + m_vec + (0,)
-    exponents = [chain[a] - chain[a + 1] for a in range(spec.rank + 1)]
+    counts = _counts(occupancy.hook_table(spins, spec.shape), odd)
+    exponents = tuple(map(operator.sub, (sum(spins), *m_vec), (*m_vec, 0)))
+    bounds = list(exponents)
     for i, _ in odd:
-        exponents[i - 1] = spec.rank
+        bounds[i - 1] = spec.rank
     result = 0
-    for sign, shift in weyl_group_terms(components, exponents):
-        result += sign * counts(tuple(map(operator.sub, m_vec, shift)))
+    for sign, moves in weyl_group_terms(components, bounds):
+        result += sign * counts(tuple(map(operator.add, exponents, moves)))
     return result
 
 
@@ -268,8 +269,7 @@ def _subset_labels(m_vec, sub: SuperRootSubset, total: int):
     m_vec = tuple(m_vec)
     if len(m_vec) != sub.rank:
         raise NonStandardWeight(f"expected {sub.rank} entries for shape {sub.shape}, got {m_vec}")
-    chain = (total,) + m_vec + (0,)
-    values = [chain[i] - chain[i + 1] for i in range(len(chain) - 1)]
+    values = list(map(operator.sub, (total, *m_vec), (*m_vec, 0)))
 
     def refuse(reason):
         return NonStandardWeight(f"M={m_vec} of degree {total} gives the {reason}, "
@@ -294,10 +294,12 @@ def label_rows(sub: SuperRootSubset, total: int):
     weight vector: the inverse of `_subset_labels`, built from diagrams.
 
     Each part of `_parts` takes a size and a diagram of that size inside its
-    hook (an abelian label its one-row diagram), and the last part takes
+    hook (an abelian label its one-row diagram), and the first part takes
     whatever total remains.  The diagrams are listed once per (shape, size).
-    A label places its parts' `hook_rows` at their labels; those are the
-    monomial exponents, and the weight vector their running remainders.
+    The parts are folded in one at a time, last first, each partial label
+    linking to the one it extends, so no stack grows with their number.  A
+    label places its parts' `hook_rows`, its monomial exponents, at their
+    labels.
     """
     parts = _parts(sub)
 
@@ -305,27 +307,28 @@ def label_rows(sub: SuperRootSubset, total: int):
     def diagrams(shape, size):
         return [(lam, hook_rows(lam, shape)) for lam in hook_partitions_of(size, shape)]
 
+    # (size left, (part's labels, its choice, the partial label it extends))
+    placed = [(total, None)]
+    for index in range(len(parts) - 1, -1, -1):
+        g, shape = parts[index]
+        placed = [
+            (remaining - size, (g, choice, link))
+            for remaining, link in placed
+            for size in (range(remaining + 1) if index else (remaining,))
+            for choice in diagrams(shape, size)
+        ]
     rows = []
-    exponents = [0] * (sub.rank + 1)
-
-    def place(index, remaining, chosen):
-        last = index == len(parts) - 1
-        for size in (remaining,) if last else range(remaining + 1):
-            for choice in diagrams(parts[index][1], size):
-                for a, value in zip(parts[index][0], choice[1]):
-                    exponents[a - 1] = value
-                if not last:
-                    place(index + 1, remaining - size, chosen + (choice[0],))
-                    continue
-                lams = chosen + (choice[0],)
-                m_vec = tuple(total - s for s in accumulate(exponents[: sub.rank]))
-                label = (
-                    [(g, lam) for (g, _), lam in zip(parts, lams[: len(sub.components)])],
-                    [(a, exponents[a - 1]) for a in sub.abelian],
-                )
-                rows.append((m_vec, label))
-
-    place(0, total, ())
+    for _, link in placed:
+        exponents = [0] * (sub.rank + 1)
+        labelled = []
+        while link:
+            g, (lam, values), link = link
+            labelled.append((g, lam))
+            for a, value in zip(g, values):
+                exponents[a - 1] = value
+        m_vec = tuple(total - s for s in accumulate(exponents[: sub.rank]))
+        label = (labelled[: len(sub.components)], [(a, exponents[a - 1]) for a in sub.abelian])
+        rows.append((m_vec, label))
     rows.sort(key=operator.itemgetter(0))
     return rows
 

@@ -11,22 +11,22 @@ vector M of degree T has the monomial exponents (T - M_1, M_1 - M_2, ...,
 M_r); the product of one-row hook characters is symmetric in the m even and,
 separately, in the n odd variables, so the count depends only on the
 exponents sorted within each block.  The store is keyed by these
-block-sorted exponent vectors and built by a pull over sites; a read by
-weight vector sorts the exponents.  A point read (`hook_coefficient`) runs
-the same pull capped at the chamber it reads, keeping at every level only
-the chambers at or below that one, and returns the one count; the capped
-counts never leave this module.  Every public entry point zero-extends:
-weight vectors whose implied exponents go negative, or that the store never
-reaches, count zero, so signed shift sums are total functions.  The
-independent check of these counts is `oracle.matrix_count`, which shares no
-code or cache with this module.
+block-sorted exponent vectors, built by a pull over sites, and read by
+exponent vector (`ChamberStore.count`).  Weight vectors stay at the public
+entry points, and only the two table functions list a store by weight
+vector, spreading each chamber over its orbit.  A point read
+(`hook_coefficient`) runs the same pull capped at the chamber it reads,
+keeping at every level only the chambers at or below that one, and returns
+the one count; the capped counts never leave this module.  Every read
+zero-extends: exponents that are negative, or that the store never reaches,
+count zero, so signed shift sums are total functions.  The independent
+check of these counts is `oracle.matrix_count`, which shares no code or
+cache with this module.
 """
 
-from collections import Counter
 from collections.abc import Mapping
 from functools import cache, lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement
-from math import factorial, prod
 from operator import le, sub
 from types import MappingProxyType
 
@@ -75,64 +75,45 @@ def _chamber(exponents: list, m: int) -> tuple[int, ...]:
 
 
 def _orbit(block):
-    """Every distinct rearrangement of a tuple."""
-    if len(block) <= 1:
-        yield block
-        return
-    for value in sorted(set(block), reverse=True):
-        at = block.index(value)
-        for rest in _orbit(block[:at] + block[at + 1 :]):
-            yield (value,) + rest
+    """Every distinct rearrangement of a tuple, as a list: the distinct values,
+    smallest first, each take their positions among the arrangements so far,
+    one loop per value and no recursion."""
+    orbit = [()]
+    for value in sorted(set(block)):
+        count = block.count(value)
+        merged = []
+        for rest in orbit:
+            for chosen in combinations(range(len(rest) + count), count):
+                out, taken = (), 0
+                for k, at in enumerate(chosen):
+                    # at - k entries of rest come before the k-th new position
+                    out += rest[taken : at - k] + (value,)
+                    taken = at - k
+                merged.append(out + rest[taken:])
+        orbit = merged
+    return orbit
 
 
-def _orbit_size(block) -> int:
-    return factorial(len(block)) // prod(map(factorial, Counter(block).values()))
-
-
-class ChamberStore(Mapping):
-    """Read-only counts of one degree list and shape, read by weight vector.
+class ChamberStore:
+    """Read-only counts of one degree list and shape, read by exponent vector.
 
     `chambers` maps each block-sorted exponent vector with a nonzero count to
-    that count.  A read turns the weight vector into exponents, counts zero at
-    a negative one, and looks up their chamber.  Iterating yields every weight
-    vector with a nonzero count, chamber by chamber; only table dumps and
-    checks do that.
+    that count.  `count` looks up the chamber of an exponent vector; one with
+    a negative entry has a chamber that no store holds, so it counts zero.
     """
 
-    __slots__ = ("_counts", "_m", "_total")
+    __slots__ = ("_counts", "_m")
 
-    def __init__(self, counts: dict, shape: tuple[int, int], total: int):
+    def __init__(self, counts: dict, shape: tuple[int, int]):
         self._counts = counts
         self._m = shape[0]
-        self._total = total
 
     @property
     def chambers(self) -> Mapping[tuple[int, ...], int]:
         return MappingProxyType(self._counts)
 
-    def get(self, m_vec, default=None):
-        exponents = list(map(sub, (self._total, *m_vec), (*m_vec, 0)))
-        if min(exponents) < 0:
-            return default
-        return self._counts.get(_chamber(exponents, self._m), default)
-
-    def __getitem__(self, m_vec) -> int:
-        count = self.get(m_vec)
-        if count is None:
-            raise KeyError(m_vec)
-        return count
-
-    def __iter__(self):
-        m = self._m
-        for key in self._counts:
-            for evens in _orbit(key[:m]):
-                for odds in _orbit(key[m:]):
-                    # M_a is the sum of the exponents from position a on
-                    yield tuple(accumulate((evens + odds)[:0:-1]))[::-1]
-
-    def __len__(self) -> int:
-        m = self._m
-        return sum(_orbit_size(key[:m]) * _orbit_size(key[m:]) for key in self._counts)
+    def count(self, exponents) -> int:
+        return self._counts.get(_chamber(list(exponents), self._m), 0)
 
 
 def _site_monomials(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -218,7 +199,7 @@ def hook_table(spins, shape: tuple[int, int]) -> ChamberStore:
     recent (spins, shape) is kept, because every caller reads one store at a
     time.
     """
-    return ChamberStore(_pull(spins, shape), shape, sum(spins))
+    return ChamberStore(_pull(spins, shape), shape)
 
 
 def hook_coefficient(m_vec, spins, shape: tuple[int, int]) -> int:
@@ -267,13 +248,27 @@ def super_occupancy_coefficient(
     return hook_coefficient(m_vec, hook_spins(two_s, nsites), shape)
 
 
-def occupancy_table(spins, rank: int) -> Mapping[tuple[int, ...], int]:
-    """Every standard weight vector with a nonzero count (the read-only store)."""
-    return hook_table(spin_tuple(spins), (rank + 1, 0))
+def _weight_table(spins, shape: tuple[int, int]) -> dict[tuple[int, ...], int]:
+    """Every weight vector with a nonzero count, with that count: each chamber
+    of the store spread over its orbit.  No query lists a store."""
+    m = shape[0]
+    table = {}
+    for key, count in hook_table(spins, shape).chambers.items():
+        odd_orbit = _orbit(key[m:])
+        for evens in _orbit(key[:m]):
+            for odds in odd_orbit:
+                # M_a is the sum of the exponents from position a on
+                table[tuple(accumulate((evens + odds)[:0:-1]))[::-1]] = count
+    return table
+
+
+def occupancy_table(spins, rank: int) -> dict[tuple[int, ...], int]:
+    """Every standard weight vector with a nonzero count, with that count."""
+    return _weight_table(spin_tuple(spins), (rank + 1, 0))
 
 
 def super_occupancy_table(
     two_s: int, nsites: int, shape: tuple[int, int]
-) -> Mapping[tuple[int, ...], int]:
-    """Every weight vector of the hook power with a nonzero count (the read-only store)."""
-    return hook_table(hook_spins(two_s, nsites), shape)
+) -> dict[tuple[int, ...], int]:
+    """Every weight vector of the hook power with a nonzero count, with that count."""
+    return _weight_table(hook_spins(two_s, nsites), shape)

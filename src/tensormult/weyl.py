@@ -17,7 +17,7 @@ nothing).
 """
 
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import factorial, prod
 from operator import itemgetter
 
@@ -215,14 +215,16 @@ MAX_WEYL_ORDER = factorial(9)
 def weyl_order(components) -> int:
     """Order of the product of the components' symmetric groups.
 
-    An order above MAX_WEYL_ORDER is refused before anything is enumerated
-    or expanded.
+    An order above MAX_WEYL_ORDER is refused, naming the component sizes
+    (the order may have too many digits to print), before anything is
+    enumerated or expanded.
     """
     order = prod(factorial(len(g)) for g in components)
     if order > MAX_WEYL_ORDER:
+        sizes = ", ".join(str(len(g)) for g in components)
         raise ValueError(
-            f"the denominator's even Weyl group has order {order}, above the "
-            f"limit of 9! = {MAX_WEYL_ORDER}"
+            f"the denominator's even Weyl group, on components of sizes {sizes}, "
+            f"has order above the limit of 9! = {MAX_WEYL_ORDER}"
         )
     return order
 
@@ -270,42 +272,38 @@ def _label_moves(components, nlabels: int):
 
 
 def weyl_group_terms(components, exponents) -> list[tuple[int, tuple[int, ...]]]:
-    """(sign, shift) of each element of the product of the components' symmetric
+    """(sign, moves) of each element of the product of the components' symmetric
     groups that keeps every exponent nonnegative.
 
     The labels are 1..len(exponents) and exponents[a - 1] is the monomial
     exponent at label a of the point the denominator is applied to.  The
     permutation s of a component (g_1 < ... < g_k) moves the exponent at g_p
     by s(p) - p, positions counted inside the component; labels outside every
-    component do not move.  The shift vector holds the running sums of the
-    moves over the labels 1..rank (a root L_i - L_j moves one unit from
-    label j to label i), and the sign is the parity of the inversions of the
-    permutations.  This is the Weyl denominator identity: the terms are those
-    of the product of (1 - t^root) over the roots inside the components.
+    component do not move.  moves[a - 1] is the move at label a, so the term
+    reads the point exponents + moves, and the sign is the parity of the
+    inversions of the permutations.  This is the Weyl denominator identity:
+    the terms are those of the product of (1 - t^root) over the roots inside
+    the components (a root L_i - L_j moves one unit from label j to label i).
 
     The walk takes the labels from the last to the first, one level per
-    label, carrying each branch's shift suffix, the labels already taken as
+    label, carrying each branch's moves so far, the labels already taken as
     targets, and its sign.  A branch is cut as soon as a label's exponent
     would go negative, so its terms are never visited; exponents of at least
     the rank cut nothing.  Last to first, the labels whose exponents bound
     their moves most tightly come first, so few branches die late.
     """
     nlabels = len(exponents)
-    moves = _label_moves(tuple(components), nlabels)
-    # shift entry a (the moves summed over labels 1..a) is minus the moves
-    # summed over labels a + 1 and on, which the walk has already taken
-    level = [(0, 0, 1, ())]
+    label_moves = _label_moves(tuple(components), nlabels)
+    level = [(0, 1, ())]
     for a in range(nlabels - 1, -1, -1):
-        p, options = moves[a]
+        p, options = label_moves[a]
         level = [
-            (entry, taken | bit, -sign if (taken & below).bit_count() & 1 else sign,
-             (entry,) + suffix if a else suffix)
-            for running, taken, sign, suffix in level
+            (taken | bit, -sign if (taken & below).bit_count() & 1 else sign, (move,) + moves)
+            for taken, sign, moves in level
             for move, bit, below in options[max(p - exponents[a], 0):]
             if not taken & bit
-            for entry in (running - move,)
         ]
-    return [(sign, suffix) for _, _, sign, suffix in level]
+    return [(sign, moves) for _, sign, moves in level]
 
 
 def weyl_denominator_ar(rank: int) -> SignedExpansion:
@@ -328,7 +326,9 @@ def weyl_denominator_subalgebra(spec: SuperRootSubset) -> SignedExpansion:
     if odd:
         raise ValueError(f"root subset {spec.roots} has odd roots for shape {spec.shape}")
     rank = spec.rank
-    terms = weyl_group_terms(components, (rank,) * (rank + 1))
+    walked = weyl_group_terms(components, (rank,) * (rank + 1))
+    # the shift at label a is the moves summed over the labels 1..a
+    terms = [(sign, tuple(accumulate(moves[:rank]))) for sign, moves in walked]
     return SignedExpansion(rank, tuple(sorted(terms, key=itemgetter(1))))
 
 

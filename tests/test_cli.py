@@ -94,6 +94,17 @@ def test_super_branch_table(capsys):
     assert len(rows) == 22
 
 
+def test_super_empty_roots_is_the_torus(capsys):
+    # an empty --roots restricts to the empty subset, as " , " does, and is
+    # not read as no --roots (the whole hook algebra)
+    base = ["super", "--shape", "2,1", "--twoS", "1", "--L", "2", "--table"]
+    status, out = run_cli(capsys, *base, "--roots", "")
+    assert (status, out) == run_cli(capsys, *base, "--roots", " , ")
+    assert status == 0 and len(json.loads(out)["entries"]) == 6
+    assert main([*base, "--roots", "", "--check"]) == 2
+    assert "no oracle" in capsys.readouterr().err
+
+
 def test_occupancy_single_and_schema(capsys):
     status, out = run_cli(
         capsys, "occupancy", "--algebra", "A2", "--twoS", "1", "--L", "6",
@@ -424,10 +435,10 @@ def test_check_catches_a_corrupted_store(capsys, monkeypatch):
 
     @functools.lru_cache(maxsize=1)
     def corrupted(spins, shape):
-        store = dict(build(spins, shape))
-        first = min(store)
-        store[first] += 1
-        return store
+        # the largest chamber is that of M = 0, which every table reads
+        chambers = dict(build(spins, shape).chambers)
+        chambers[max(chambers)] += 1
+        return occupancy_mod.ChamberStore(chambers, shape)
 
     monkeypatch.setattr(occupancy_mod, "hook_table", corrupted)
     for argv in (
@@ -441,7 +452,7 @@ def test_queries_never_iterate_the_store(capsys, monkeypatch):
     # queries read the count store point by point: none may list its weight
     # vectors, which would materialise every chamber's orbit
     import tensormult.occupancy as occupancy_mod
-    from tensormult.occupancy import ChamberStore, hook_spins, hook_table
+    from tensormult.occupancy import hook_spins, hook_table
 
     commands = (
         ["multiplicity", "--algebra", "A3", "--twoS", "2", "--L", "4", "--table", "--check"],
@@ -457,8 +468,8 @@ def test_queries_never_iterate_the_store(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a query iterated the count store")
 
-    monkeypatch.setattr(ChamberStore, "__iter__", refuse)
-    monkeypatch.setattr(ChamberStore, "__len__", refuse)
+    monkeypatch.setattr(occupancy_mod, "_weight_table", refuse)
+    monkeypatch.setattr(occupancy_mod, "_orbit", refuse)
     # nor may a table filter every weight vector for its labels
     monkeypatch.setattr(occupancy_mod, "standard_m_vectors", refuse)
     hook_table.cache_clear()

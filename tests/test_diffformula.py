@@ -1,5 +1,4 @@
 import random
-from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -22,7 +21,7 @@ from tensormult.diffformula import (
     super_multiplicity_from_m,
 )
 from tensormult.errors import NonStandardWeight, SizeMismatch, TooManyRows
-from tensormult.occupancy import hook_table, occupancy_coefficient, standard_m_vectors
+from tensormult.occupancy import occupancy_coefficient, occupancy_table, standard_m_vectors
 from tensormult.oracle import matrix_count, pieri_expansion, schur_expansion, weyl_dimension
 from tensormult.partitions import (
     conjugate,
@@ -121,10 +120,13 @@ def test_group_walk_equals_the_expanded_denominator():
         expansions = [weyl_denominator_subalgebra(spec) for spec in specs]
         for spins in spin_lists:
             total = sum(spins)
-            store = hook_table(spins, (rank + 1, 0))
-            # the reference reads each shifted weight from the store once,
-            # through a dict shared by every subset of this degree list
-            read = cache(lambda mv, store=store: store.get(mv, 0))
+            # the reference reads each shifted weight from the weight table,
+            # shared by every subset of this degree list
+            table = occupancy_table(spins, rank)
+
+            def read(mv):
+                return table.get(mv, 0)
+
             vectors = list(standard_m_vectors(rank, total))
             vectors += [
                 tuple(rng.randint(-2, total + 2) for _ in range(rank)) for _ in range(40)
@@ -259,6 +261,12 @@ def test_label_rows_invert_the_weight_filter():
                     except NonStandardWeight:
                         pass
                 assert label_rows(sub, total) == filtered, (shape, sub.roots, total)
+
+
+def test_label_rows_fold_a_thousand_parts():
+    # one component and 999 abelian labels: the parts are folded in a loop,
+    # so no stack grows with their number
+    assert len(label_rows(close_root_subset(((1, 2),), 1000), 1)) == 1000
 
 
 def test_super_branching_backends_match():

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import accumulate, permutations, product
+from itertools import permutations, product
 from math import comb
 from operator import le
 
@@ -156,21 +156,35 @@ def test_hook_store_reads_by_block_sorted_exponents():
                 spins = (two_s,) * nsites
                 total = two_s * nsites
                 store = hook_table(spins, shape)
+
+                def exponents_of(m_vec):
+                    chain = (total,) + m_vec + (0,)
+                    return tuple(chain[a] - chain[a + 1] for a in range(m + n))
+
                 for m_vec in standard_m_vectors(m + n - 1, total):
                     count = matrix_count(m_vec, spins, shape)
-                    assert store.get(m_vec, 0) == count, (shape, spins, m_vec)
-                    chain = (total,) + m_vec + (0,)
-                    exponents = [chain[a] - chain[a + 1] for a in range(m + n)]
+                    exponents = exponents_of(m_vec)
+                    assert store.count(exponents) == count, (shape, spins, m_vec)
                     for evens in set(permutations(exponents[:m])):
                         for odds in set(permutations(exponents[m:])):
-                            moved = tuple(accumulate((evens + odds)[:0:-1]))[::-1]
-                            assert store.get(moved, 0) == count, (shape, spins, moved)
+                            assert store.count(evens + odds) == count, (shape, spins, evens, odds)
                     for a in range(m + n - 1):
                         for value in (-1, total + 1):
+                            # a weight vector outside the range has a negative exponent
                             outside = m_vec[:a] + (value,) + m_vec[a + 1 :]
-                            assert store.get(outside, 0) == 0 == matrix_count(
+                            assert min(exponents_of(outside)) < 0
+                            assert store.count(exponents_of(outside)) == 0 == matrix_count(
                                 outside, spins, shape
                             )
+
+
+def test_orbit_lists_each_rearrangement_once():
+    # a thousand entries: one loop per distinct value, no stack per entry
+    orbit = list(occupancy_mod._orbit((1,) + (0,) * 1000))
+    assert len(set(orbit)) == len(orbit) == 1001
+    for block in ((), (0,), (2, 1, 1, 0), (3, 3, 1, 0, 0)):
+        orbit = list(occupancy_mod._orbit(block))
+        assert len(orbit) == len(set(orbit)) and set(orbit) == set(permutations(block))
 
 
 def test_support_index_skips_only_zero_reads():
@@ -222,11 +236,11 @@ def test_capped_read_equals_full_read():
     for shape in shapes:
         nentries = sum(shape) - 1
         for spins in spin_lists[nentries]:
-            store = hook_table(spins, shape)
+            table = occupancy_mod._weight_table(spins, shape)
             span = range(-1, sum(spins) + 2)
             for m_vec in product(span, repeat=nentries):
                 count = hook_coefficient(m_vec, spins, shape)
-                assert count == store.get(m_vec, 0) == matrix_count(m_vec, spins, shape), (
+                assert count == table.get(m_vec, 0) == matrix_count(m_vec, spins, shape), (
                     shape, spins, m_vec,
                 )
     # point reads leave the latest whole store cached
@@ -245,11 +259,11 @@ def test_point_reads_build_no_whole_store(capsys, monkeypatch):
         raise AssertionError("a point read built a whole store")
 
     monkeypatch.setattr(occupancy_mod, "hook_table", refuse)
-    assert occupancy_coefficient((20, 12, 6, 2), spins) == full[20, 12, 6, 2]
+    assert occupancy_coefficient((20, 12, 6, 2), spins) == full.count((12, 8, 6, 4, 2))
     assert super_occupancy_coefficient((2, 1), 1, 6, (2, 1)) == 30
     argv = ["occupancy", "--algebra", "A4", "--twoS", "4", "--L", "8", "--M", "20,12,6,2"]
     assert main(argv) == 0
-    assert json.loads(capsys.readouterr().out)["c"] == str(full[20, 12, 6, 2])
+    assert json.loads(capsys.readouterr().out)["c"] == str(full.count((12, 8, 6, 4, 2)))
 
     # the capped pull keeps one top-level chamber, the cap, where the whole
     # store keeps 831, and it reads fewer than a quarter of the chambers
@@ -268,5 +282,5 @@ def test_point_reads_build_no_whole_store(capsys, monkeypatch):
     assert full_reads <= 105_000
     reads.clear()
     cap = (12, 8, 6, 4, 2)
-    assert occupancy_mod._pull(spins, shape, cap) == {cap: full[20, 12, 6, 2]}
+    assert occupancy_mod._pull(spins, shape, cap) == {cap: full.count((12, 8, 6, 4, 2))}
     assert 4 * len(reads) < full_reads

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import accumulate, product
 from math import factorial
 
 import pytest
@@ -24,6 +24,7 @@ from tensormult.weyl import (
     weyl_denominator_super,
     weyl_denominator_super_subalgebra,
     weyl_group_terms,
+    weyl_order,
 )
 
 
@@ -123,7 +124,11 @@ def test_group_walk_cuts_exactly_the_negative_exponents():
             moved = [e + chain[a + 1] - chain[a] for a, e in enumerate(exponents)]
             if min(moved) >= 0:
                 kept.append((coeff, shift))
-        walked = weyl_group_terms(split_denominator(spec)[0], exponents)
+        # the shift at label a is the moves summed over the labels 1..a
+        walked = [
+            (sign, tuple(accumulate(moves[:-1])))
+            for sign, moves in weyl_group_terms(split_denominator(spec)[0], exponents)
+        ]
         assert sorted(walked, key=lambda t: t[1]) == kept
 
 
@@ -134,6 +139,10 @@ def test_group_refusals():
         weyl_denominator_subalgebra(SuperRootSubset((2, 1), ((1, 3),)))
     with pytest.raises(ValueError, match="9! = 362880"):
         weyl_denominator_ar(9)
+    # an order with more digits than an integer may print: the refusal names
+    # the component size instead
+    with pytest.raises(ValueError, match=r"sizes 1600, .*9! = 362880"):
+        weyl_order((tuple(range(1, 1601)),))
 
 
 def test_super_one_one():
