@@ -125,8 +125,8 @@ def _refuse_unread(args, *flags) -> None:
 def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) -> int:
     """The one query pipeline: the closed root subset sub, the degrees spins.
 
-    The subset is refused up front if it is open or its even group too large,
-    and with --check the Pieri fold of the subset's shape is built once.
+    A subset is closed when built; its even group is refused up front if too
+    large, and with --check the Pieri fold of the subset's shape is built once.
     Every value comes from the one shift route through row(), which gives a
     label's entry (fields(label), the value and the oracle's) and exits 3 on
     a mismatch.  A table lists the labels of `diffformula.label_rows`, keeps

@@ -132,14 +132,23 @@ def _site_monomials(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...]
 def _monomials_by_support(two_s: int, shape: tuple[int, int]):
     """The site monomials of degree two_s indexed by support: entry [e][o]
     holds those that are zero past the first e even and the first o odd
-    positions, so (m + 1)(n + 1) lists per degree."""
+    positions, so (m + 1)(n + 1) lists per degree.  Each monomial is placed
+    once at its own support, and the lists gather those of every smaller one."""
     m, n = shape
-    monomials = _site_monomials(two_s, shape)
-    return tuple(
-        tuple(tuple(p for p in monomials if not any(p[e:m]) and not any(p[m + o :]))
-              for o in range(n + 1))
-        for e in range(m + 1)
-    )
+    own = [[[] for _ in range(n + 1)] for _ in range(m + 1)]
+    for p in _site_monomials(two_s, shape):
+        e = max((i + 1 for i in range(m) if p[i]), default=0)
+        o = max((i + 1 for i in range(n) if p[m + i]), default=0)
+        own[e][o].append(p)
+    columns = [[] for _ in range(n + 1)]  # per o: the monomials at (<= e, o)
+    index = []
+    for own_row in own:
+        row = [[]]
+        for column, placed in zip(columns, own_row):
+            column += placed
+            row.append(row[-1] + column)
+        index.append(tuple(row[1:]))
+    return tuple(index)
 
 
 def _pull(spins, shape: tuple[int, int], cap=None) -> dict:

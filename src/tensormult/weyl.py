@@ -1,24 +1,26 @@
-"""Root data for type-A algebras and their hook-variable analogues, subalgebra
-closure, and the signed expansions of (generalized) Weyl denominators that
-drive the shift operators.
+"""Root data for type-A algebras and their hook-variable analogues, closed
+root subsets, and the signed expansions of (generalized) Weyl denominators
+that drive the shift operators.
 
-Roots are stored as index pairs (i, j) with i < j over the standard labels;
-the pair maps to the monomial t_i ... t_{j-1} in the simple-root variables.
-The denominator of a closed root subset is its even part divided by
-(1 + t^root) over its odd roots (`split_denominator`).  The even part is a
-sum over its Weyl group, one signed term per group element (the Weyl
-denominator identity), enumerated by `weyl_group_terms`; the query routes
-walk that group and divide the counts, not the denominator, by the odd
-factors (see `diffformula`).  The `weyl_denominator_*` functions list
-denominators as signed expansions: with odd roots the alternating series
-is truncated to a per-variable bound (shifts beyond the bound annihilate the
-zero-extended counts, so a bound equal to the queried weight vector loses
-nothing).
+Roots are index pairs (i, j) with i < j over the standard labels; the pair
+maps to the monomial t_i ... t_{j-1} in the simple-root variables.  A
+closed root subset holds every root between the labels of each of its label
+groups, so it is stored as those groups, and a subset built from roots is
+checked closed by counting them (`SuperRootSubset`).  Its denominator is its
+even part divided by (1 + t^root) over its odd roots (`split_denominator`).
+The even part is a sum over its Weyl group, one signed term per group
+element (the Weyl denominator identity), enumerated by `weyl_group_terms`;
+the query routes walk that group and divide the counts, not the denominator,
+by the odd factors (see `diffformula`).  The `weyl_denominator_*` functions
+list denominators as signed expansions: with odd roots the alternating
+series is truncated to a per-variable bound (shifts beyond the bound
+annihilate the zero-extended counts, so a bound equal to the queried weight
+vector loses nothing).
 """
 
 from functools import cache
 from itertools import accumulate, combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 from operator import itemgetter
 
 from .errors import InvalidTruncation, NotClosed
@@ -92,12 +94,9 @@ def root_shift(root: tuple[int, int], rank: int) -> tuple[int, ...]:
     return tuple(1 if i <= k < j else 0 for k in range(1, rank + 1))
 
 
-def positive_roots(rank: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 2))
-
-
-def label_groups(nlabels: int, roots) -> tuple[tuple[int, ...], ...]:
-    """Connected groups of the labels 1..nlabels under the root edges, by least label."""
+def label_groups(shape: tuple[int, int], roots) -> tuple[tuple[int, ...], ...]:
+    """Connected groups of the labels 1..m+n under the root edges, by least label."""
+    nlabels = sum(shape)
     parent = list(range(nlabels + 1))
 
     def find(a):
@@ -107,6 +106,8 @@ def label_groups(nlabels: int, roots) -> tuple[tuple[int, ...], ...]:
         return a
 
     for i, j in roots:
+        if not (1 <= i < j <= nlabels):
+            raise ValueError(f"invalid root pair {(i, j)} for shape {shape}")
         parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for label in range(1, nlabels + 1):
@@ -115,51 +116,49 @@ def label_groups(nlabels: int, roots) -> tuple[tuple[int, ...], ...]:
 
 
 class SuperRootSubset(_Frozen):
-    """Subset of positive roots of the (m, n) hook algebra, split by parity on demand.
+    """Closed subset of positive roots of the (m, n) hook algebra, held as its
+    label groups.
 
     The ordinary rank-r algebra is the shape (r + 1, 0), where every root is
     even.  Labels joined through the roots form groups: each group of two or
     more labels is a component (one A-type or hook factor), and the leftover
-    single labels stay abelian.  Equality and hashing read the shape and the
-    roots only.
+    single labels stay abelian.  Closed means every root between the labels
+    of a component is in the subset, so the groups give the roots, and
+    equality and hashing read the shape and the components only.  Built from
+    roots, the subset is refused with NotClosed unless they are as many
+    distinct roots as its groups have pairs of labels.
     """
 
-    __slots__ = ("shape", "roots", "rank", "components", "abelian")
+    __slots__ = ("shape", "rank", "components", "abelian")
     _shown = __slots__
 
     def __init__(self, shape: tuple[int, int], roots: tuple[tuple[int, int], ...]):
-        m, n = shape
-        for i, j in roots:
-            if not (1 <= i < j <= m + n):
-                raise ValueError(f"invalid root pair {(i, j)} for shape {shape}")
-        roots = tuple(sorted(set(roots)))
-        groups = label_groups(m + n, roots)
+        roots = tuple(roots)
+        groups = label_groups(shape, roots)
+        if len(set(roots)) != sum(comb(len(g), 2) for g in groups):
+            raise NotClosed(f"root subset {tuple(sorted(set(roots)))} is not bracket-closed; "
+                            f"add the missing roots between connected labels")
+        self._hold(shape, groups)
+
+    @classmethod
+    def _of_groups(cls, shape: tuple[int, int], groups) -> "SuperRootSubset":
+        """The closed subset whose label groups, sorted by least label, are groups."""
+        return cls.__new__(cls)._hold(shape, groups)
+
+    def _hold(self, shape, groups):
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "rank", m + n - 1)
+        object.__setattr__(self, "rank", sum(shape) - 1)
         object.__setattr__(self, "components", tuple(g for g in groups if len(g) >= 2))
         object.__setattr__(self, "abelian", tuple(g[0] for g in groups if len(g) == 1))
+        return self
 
     def _key(self):
-        return (self.shape, self.roots)
+        return (self.shape, self.components)
 
-    def parity_split(self):
-        m, _ = self.shape
-        even = tuple(r for r in self.roots if not (r[0] <= m < r[1]))
-        odd = tuple(r for r in self.roots if r[0] <= m < r[1])
-        return even, odd
-
-    def is_closed(self) -> bool:
-        """Every pair of labels joined through the subset must be joined directly."""
-        return set(subalgebra_positive_roots(self)) <= set(self.roots)
-
-
-def subalgebra_positive_roots(spec: SuperRootSubset) -> tuple[tuple[int, int], ...]:
-    """Every root between the labels of each component."""
-    roots = []
-    for comp in spec.components:
-        roots.extend(combinations(comp, 2))
-    return tuple(roots)
+    @property
+    def roots(self) -> tuple[tuple[int, int], ...]:
+        """Every root between the labels of each component, sorted."""
+        return tuple(sorted(pair for g in self.components for pair in combinations(g, 2)))
 
 
 def close_root_subset(roots, rank: int) -> SuperRootSubset:
@@ -169,22 +168,18 @@ def close_root_subset(roots, rank: int) -> SuperRootSubset:
     least two labels becomes one factor, carrying every root between its
     labels; remaining labels stay abelian.
     """
-    spec = SuperRootSubset((rank + 1, 0), roots)
-    return SuperRootSubset(spec.shape, subalgebra_positive_roots(spec))
+    shape = (rank + 1, 0)
+    return SuperRootSubset._of_groups(shape, label_groups(shape, roots))
 
 
 @cache
 def hook_algebra(shape: tuple[int, int]) -> SuperRootSubset:
     """Every positive root, even and odd, of the (m, n) hook algebra."""
-    return SuperRootSubset(shape, tuple(combinations(range(1, sum(shape) + 1), 2)))
+    return SuperRootSubset._of_groups(shape, (tuple(range(1, sum(shape) + 1)),))
 
 
 def full_subalgebra(rank: int) -> SuperRootSubset:
     return hook_algebra((rank + 1, 0))
-
-
-def torus_subalgebra(rank: int) -> SuperRootSubset:
-    return SuperRootSubset((rank + 1, 0), ())
 
 
 def _check_bound(bound, rank):
@@ -229,30 +224,26 @@ def weyl_order(components) -> int:
     return order
 
 
-def _require_closed(spec: SuperRootSubset) -> None:
-    if not spec.is_closed():
-        raise NotClosed(
-            f"root subset {spec.roots} is not bracket-closed; add the missing "
-            f"roots between connected labels"
-        )
-
-
 @cache
 def split_denominator(spec: SuperRootSubset):
-    """(components, odd roots) of a closed root subset: the one refusal point.
+    """(even components, odd roots) of a closed root subset: the one refusal
+    point for a large even group.
 
     Its denominator is the even denominator, the signed sum over the Weyl
-    group of the components of its even roots (a product of symmetric
-    groups, walked by `weyl_group_terms`), divided by (1 + t^root) over the
-    odd roots.  The even roots of a closed subset are closed themselves.  A
-    subset that is not closed, or whose even group is larger than
-    MAX_WEYL_ORDER, is refused before anything is enumerated.
+    group of its even roots (a product of symmetric groups, walked by
+    `weyl_group_terms`), divided by (1 + t^root) over the odd roots.  Each
+    component splits at m into its even and its odd labels, and the parts of
+    two or more labels are the even components; the odd roots are the pairs
+    inside a component that straddle m.  An even group larger than
+    MAX_WEYL_ORDER is refused before the odd roots are listed or anything
+    is enumerated.
     """
-    _require_closed(spec)
-    even, odd = spec.parity_split()
-    components = SuperRootSubset(spec.shape, even).components
+    m, _ = spec.shape
+    halves = [(tuple(a for a in g if a <= m), tuple(a for a in g if a > m))
+              for g in spec.components]
+    components = tuple(sorted(part for pair in halves for part in pair if len(part) >= 2))
     weyl_order(components)
-    return components, odd
+    return components, tuple(sorted((i, j) for low, high in halves for i in low for j in high))
 
 
 @cache
@@ -346,13 +337,12 @@ def weyl_denominator_super_subalgebra(sub: SuperRootSubset, bound) -> SignedExpa
     factor.  The query routes never expand it: they walk the even group over
     the counts divided by the odd factors (see `diffformula`).
     """
-    split_denominator(sub)  # refuses an open subset or a too large even group
-    even, odd = sub.parity_split()
+    components, odd = split_denominator(sub)  # refuses a too large even group
     rank = sub.rank
     bound = _check_bound(bound, rank)
     if not odd:
         return weyl_denominator_subalgebra(sub)
-    factors = [_even_factor(r, rank) for r in even]
+    factors = [_even_factor(r, rank) for g in components for r in combinations(g, 2)]
     factors += [_alternating_factor(root_shift(r, rank), bound) for r in odd]
     return _expand(factors, rank, bound)
 

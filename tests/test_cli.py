@@ -258,8 +258,16 @@ def test_large_denominators_refused_at_once(capsys):
           "--twoS", "1", "--L", "8", "--table"], too_large),
         # hook tables check the subset before enumerating their labels
         (["super", "--shape", "10,1", "--twoS", "3", "--L", "8", "--table"], too_large),
+        # the group is refused from its component sizes at any rank, before a
+        # root is listed
+        (["multiplicity", "--algebra", "A2000", "--twoS", "1", "--L", "1", "--table"],
+         too_large),
+        (["super", "--shape", "1000,1", "--twoS", "1", "--L", "1", "--table"], too_large),
+        # an open subset is refused when it is built, for a table or a single query
         (["super", "--shape", "2,2", "--roots", "L1-L2,L2-K1", "--twoS", "1", "--L", "4",
           "--table"], "not bracket-closed"),
+        (["super", "--shape", "2,2", "--roots", "L1-L2,L2-K1", "--twoS", "1", "--L", "4",
+          "--M", "3,2,1"], "not bracket-closed"),
     ):
         start = time.perf_counter()
         assert main(argv) == 2

@@ -34,7 +34,8 @@ from tensormult.weyl import (
     SuperRootSubset,
     close_root_subset,
     full_subalgebra,
-    torus_subalgebra,
+    hook_algebra,
+    split_denominator,
     weyl_denominator_ar,
     weyl_denominator_subalgebra,
     weyl_denominator_super_subalgebra,
@@ -80,14 +81,14 @@ def test_multiplicity_validation():
         multiplicity((3, 1, 1, 1), (1,) * 6, 2)
     # a weight vector of another length than the rank
     with pytest.raises(ValueError, match="expected 2 entries"):
-        branching_multiplicity_from_m((3, 1, 0), torus_subalgebra(2), (1,) * 6)
+        branching_multiplicity_from_m((3, 1, 0), close_root_subset((), 2), (1,) * 6)
 
 
 def test_branching_reduces_at_both_ends():
     spins = (1,) * 6
     for m_vec in standard_m_vectors(2, 6):
         c = occupancy_coefficient(m_vec, spins)
-        assert branching_multiplicity_from_m(m_vec, torus_subalgebra(2), spins) == c
+        assert branching_multiplicity_from_m(m_vec, close_root_subset((), 2), spins) == c
         assert branching_multiplicity_from_m(
             m_vec, full_subalgebra(2), spins
         ) == multiplicity_from_m(m_vec, spins)
@@ -102,6 +103,34 @@ def _set_partitions(labels):
         yield [[first], *blocks]
         for i in range(len(blocks)):
             yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1:]]
+
+
+def test_label_form_splits_as_the_root_form():
+    # a closed subset is held as its label groups; the reference splits the
+    # explicit root list: the label groups of the even roots, and the sorted
+    # odd roots
+    def groups(roots):
+        joined = {}
+        for i, j in roots:
+            merged = joined.get(i, {i}) | joined.get(j, {j})
+            for a in merged:
+                joined[a] = merged
+        return tuple(sorted({tuple(sorted(g)) for g in joined.values()}))
+
+    for shape in ((3, 0), (4, 0), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)):
+        m = shape[0]
+        for blocks in _set_partitions(list(range(1, sum(shape) + 1))):
+            roots = sorted(pair for b in blocks for pair in combinations(b, 2))
+            spec = SuperRootSubset(shape, roots)
+            even = [r for r in roots if not r[0] <= m < r[1]]
+            odd = tuple(r for r in roots if r[0] <= m < r[1])
+            assert split_denominator(spec) == (groups(even), odd), (shape, roots)
+            assert spec.roots == tuple(roots)
+            for other in (roots[::-1], roots + roots[:2]):
+                again = SuperRootSubset(shape, other)
+                assert again == spec and hash(again) == hash(spec), (shape, other)
+        every = SuperRootSubset(shape, combinations(range(1, sum(shape) + 1), 2))
+        assert every == hook_algebra(shape) and hash(every) == hash(hook_algebra(shape))
 
 
 def test_group_walk_equals_the_expanded_denominator():

@@ -201,6 +201,10 @@ def test_support_index_skips_only_zero_reads():
                     assert p in listed, (shape, key, p)
             for p in listed:
                 assert all(x == 0 for x, y in zip(p, key) if y == 0), (shape, key, p)
+    # each monomial is listed at every support that holds its own: the unit
+    # vectors of degree 1 at rank 1000, e of them inside the first e positions
+    by_support = occupancy_mod._monomials_by_support(1, (1001, 0))
+    assert [len(row[0]) for row in by_support] == list(range(1002))
 
 
 def test_symmetry_identities_small_grid():
