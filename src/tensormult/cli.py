@@ -384,8 +384,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     text = buffer.getvalue()
     if getattr(args, "output", None):
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return status

@@ -11,17 +11,17 @@ vector M of degree T has the monomial exponents (T - M_1, M_1 - M_2, ...,
 M_r); the product of one-row hook characters is symmetric in the m even and,
 separately, in the n odd variables, so the count depends only on the
 exponents sorted within each block.  The store is keyed by these
-block-sorted exponent vectors, built by a pull over sites, and read by
-exponent vector (`ChamberStore.count`).  Weight vectors stay at the public
-entry points, and only the two table functions list a store by weight
-vector, spreading each chamber over its orbit.  A point read
-(`hook_coefficient`) runs the same pull capped at the chamber it reads,
-keeping at every level only the chambers at or below that one, and returns
-the one count; the capped counts never leave this module.  Every read
-zero-extends: exponents that are negative, or that the store never reaches,
-count zero, so signed shift sums are total functions.  The independent
-check of these counts is `oracle.matrix_count`, which shares no code or
-cache with this module.
+block-sorted exponent vectors, built by a pull over sites in which a chamber
+reads only the site monomials under it, and read by exponent vector
+(`ChamberStore.count`).  Weight vectors stay at the public entry points, and
+only the two table functions list a store by weight vector, spreading each
+chamber over its orbit.  A point read (`hook_coefficient`) runs the same
+pull capped at the chamber it reads, keeping at every level only the
+chambers at or below that one, and returns the one count; the capped counts
+never leave this module.  Every read zero-extends: exponents that are
+negative, or that the store never reaches, count zero, so signed shift sums
+are total functions.  The independent check of these counts is
+`oracle.matrix_count`, which shares no code or cache with this module.
 """
 
 from collections.abc import Mapping
@@ -116,6 +116,7 @@ class ChamberStore:
         return self._counts.get(_chamber(list(exponents), self._m), 0)
 
 
+@cache
 def _site_monomials(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
     """Exponent vectors of the one-row hook character of degree two_s: an even
     composition of two_s - k and an odd 0/1 vector of weight k."""
@@ -129,26 +130,9 @@ def _site_monomials(two_s: int, shape: tuple[int, int]) -> tuple[tuple[int, ...]
 
 
 @cache
-def _monomials_by_support(two_s: int, shape: tuple[int, int]):
-    """The site monomials of degree two_s indexed by support: entry [e][o]
-    holds those that are zero past the first e even and the first o odd
-    positions, so (m + 1)(n + 1) lists per degree.  Each monomial is placed
-    once at its own support, and the lists gather those of every smaller one."""
-    m, n = shape
-    own = [[[] for _ in range(n + 1)] for _ in range(m + 1)]
-    for p in _site_monomials(two_s, shape):
-        e = max((i + 1 for i in range(m) if p[i]), default=0)
-        o = max((i + 1 for i in range(n) if p[m + i]), default=0)
-        own[e][o].append(p)
-    columns = [[] for _ in range(n + 1)]  # per o: the monomials at (<= e, o)
-    index = []
-    for own_row in own:
-        row = [[]]
-        for column, placed in zip(columns, own_row):
-            column += placed
-            row.append(row[-1] + column)
-        index.append(tuple(row[1:]))
-    return tuple(index)
+def _monomials_under(two_s: int, shape: tuple[int, int], clipped) -> tuple[tuple[int, ...], ...]:
+    """The site monomials of degree two_s at or below a chamber clipped at two_s."""
+    return tuple(p for p in _site_monomials(two_s, shape) if all(map(le, p, clipped)))
 
 
 def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
@@ -156,23 +140,26 @@ def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
 
     Each site of degree d pulls the counts of the sites before it:
     c(nu) = sum over the site's monomials p <= nu of c_before(chamber(nu - p)),
-    for every chamber nu the sites so far reach.  A chamber is block-sorted
-    descending, so its zeros trail in each block, and it reads only the
-    monomials inside its support (`_monomials_by_support`): one that is
-    nonzero at a zero of nu exceeds nu and would read zero.  With a `cap` (a
-    chamber), every level keeps only the chambers at or below it, each block
-    compared sorted descending: the pull only subtracts nonnegative
-    monomials, so the count at the cap reads nothing else, and the result is
-    exact at the cap and zero above it.
+    for every chamber nu the sites so far reach.  No entry of p exceeds d, so
+    p <= nu exactly when p lies under nu clipped at d, and the chamber reads
+    the monomials under its clipped chamber (`_monomials_under`), never one
+    that would read at a negative exponent.  With a `cap` (a chamber), every
+    level keeps only the chambers at or below it, each block compared sorted
+    descending: the pull only subtracts nonnegative monomials, so the count
+    at the cap reads nothing else, and the result is exact at the cap and
+    zero above it.
     """
     m, n = shape
 
     @cache
-    def even_blocks(size):
-        blocks = [lam + (0,) * (m - len(lam)) for lam in partitions_of(size, max_rows=m)]
-        if cap is not None:
-            blocks = [evens for evens in blocks if all(map(le, evens, cap))]
-        return blocks
+    def even_blocks(size, two_s, odds):
+        """The even blocks of a size, each with the site monomials under its
+        chamber: the block clipped at two_s beside the odd block clipped at 1."""
+        blocks = (lam + (0,) * (m - len(lam)) for lam in partitions_of(size, max_rows=m))
+        return [
+            (evens, _monomials_under(two_s, shape, tuple([min(x, two_s) for x in evens]) + odds))
+            for evens in blocks if cap is None or all(map(le, evens, cap))
+        ]
 
     counts = {(0,) * (m + n): 1}
     total = nsites = 0
@@ -181,7 +168,6 @@ def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
             continue
         total += two_s
         nsites += 1
-        by_support = _monomials_by_support(two_s, shape)
         before, counts = counts, {}
         # A site adds at most one to each odd exponent, so the odd parts are
         # at most nsites; for sites of one degree every such chamber is reached.
@@ -189,11 +175,11 @@ def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
         if cap is not None:
             odd_blocks = [odds for odds in odd_blocks if all(map(le, odds, cap[m:]))]
         for odds in odd_blocks:
-            odd_support = n - odds.count(0)
-            for evens in even_blocks(total - sum(odds)):
+            clipped = tuple([min(x, 1) for x in odds])  # an odd entry of p is at most 1
+            for evens, under in even_blocks(total - sum(odds), two_s, clipped):
                 key = evens + odds
                 count = 0
-                for p in by_support[m - evens.count(0)][odd_support]:
+                for p in under:
                     count += before.get(_chamber(list(map(sub, key, p)), m), 0)
                 if count:
                     counts[key] = count

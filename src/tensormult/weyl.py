@@ -248,18 +248,24 @@ def split_denominator(spec: SuperRootSubset):
 
 @cache
 def _label_moves(components, nlabels: int):
-    """Per label: its position p in its component and, for each target
-    position q, the move q - p, the target's label bit, and the bits of the
-    component's labels below the target (the walk assigns positions from the
-    last down, so each of those already taken is one inversion).  A label
-    outside every component has the one move 0."""
-    moves = [(0, ((0, 0, 0),))] * nlabels
+    """The walk's levels, one per component label from the last to the first,
+    the zeros below the lowest, and the indices of the unwalked labels.  A
+    level is the label's index, its position p in its component and, per
+    target position q: the move q - p followed by the zeros of the unwalked
+    labels above, the target's bit, and the bits of the component's labels
+    below the target (each of those already taken is one inversion)."""
+    walked = sorted(label for g in components for label in g)
+    above = dict(zip(walked, walked[1:] + [nlabels + 1]))
+    levels = []
     for g in components:
         bits = [1 << (label - 1) for label in g]
         below = [sum(bits[:q]) for q in range(len(g))]
         for p, label in enumerate(g):
-            moves[label - 1] = (p, tuple((q - p, bits[q], below[q]) for q in range(len(g))))
-    return tuple(moves)
+            zeros = (0,) * (above[label] - label - 1)
+            options = tuple(((q - p,) + zeros, bits[q], below[q]) for q in range(len(g)))
+            levels.append((label - 1, p, options))
+    fixed = tuple(a for a in range(nlabels) if a + 1 not in above)
+    return tuple(sorted(levels, reverse=True)), (0,) * (min(walked, default=nlabels + 1) - 1), fixed
 
 
 def weyl_group_terms(components, exponents) -> list[tuple[int, tuple[int, ...]]]:
@@ -276,25 +282,27 @@ def weyl_group_terms(components, exponents) -> list[tuple[int, tuple[int, ...]]]
     the terms are those of the product of (1 - t^root) over the roots inside
     the components (a root L_i - L_j moves one unit from label j to label i).
 
-    The walk takes the labels from the last to the first, one level per
-    label, carrying each branch's moves so far, the labels already taken as
-    targets, and its sign.  A branch is cut as soon as a label's exponent
-    would go negative, so its terms are never visited; exponents of at least
-    the rank cut nothing.  Last to first, the labels whose exponents bound
-    their moves most tightly come first, so few branches die late.
+    The walk takes the component labels from the last to the first, one
+    level per label, carrying each branch's moves so far, the labels already
+    taken as targets, and its sign.  A label outside every component gets no
+    level: its zero move rides on the walked label below it, and a negative
+    exponent there keeps no term.  A branch is cut as soon as a label's
+    exponent would go negative, so its terms are never visited; exponents of
+    at least the rank cut nothing.  Last to first, the labels whose exponents
+    bound their moves most tightly come first, so few branches die late.
     """
-    nlabels = len(exponents)
-    label_moves = _label_moves(tuple(components), nlabels)
+    levels, low_zeros, fixed = _label_moves(tuple(components), len(exponents))
+    if any(exponents[a] < 0 for a in fixed):
+        return []
     level = [(0, 1, ())]
-    for a in range(nlabels - 1, -1, -1):
-        p, options = label_moves[a]
+    for a, p, options in levels:
         level = [
-            (taken | bit, -sign if (taken & below).bit_count() & 1 else sign, (move,) + moves)
+            (taken | bit, -sign if (taken & below).bit_count() & 1 else sign, step + moves)
             for taken, sign, moves in level
-            for move, bit, below in options[max(p - exponents[a], 0):]
+            for step, bit, below in options[max(p - exponents[a], 0):]
             if not taken & bit
         ]
-    return [(sign, moves) for _, sign, moves in level]
+    return [(sign, low_zeros + moves) for _, sign, moves in level]
 
 
 def weyl_denominator_ar(rank: int) -> SignedExpansion:

@@ -158,6 +158,21 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["mu"] == "1"
 
 
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    # a directory, and a path under a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "result.json"):
+        status = main([
+            "multiplicity", "--algebra", "A1", "--twoS", "1", "--L", "2",
+            "--lambda", "1,1", "--output", str(target),
+        ])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --output: ")
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["multiplicity", "--algebra", "A2"])  # missing --twoS

@@ -2,7 +2,6 @@ import json
 import random
 from itertools import permutations, product
 from math import comb
-from operator import le
 
 import pytest
 
@@ -187,24 +186,35 @@ def test_orbit_lists_each_rearrangement_once():
         assert len(orbit) == len(set(orbit)) and set(orbit) == set(permutations(block))
 
 
-def test_support_index_skips_only_zero_reads():
-    # a chamber reads the monomials listed at its support; every monomial at
-    # or below it must be listed, and a listed one is zero at its zeros
-    for spins, shape in (((3,) * 4, (4, 0)), ((2,) * 4, (2, 2)), ((3,) * 3, (3, 1))):
-        m, n = shape
-        monomials = occupancy_mod._site_monomials(spins[0], shape)
-        by_support = occupancy_mod._monomials_by_support(spins[0], shape)
-        for key in hook_table(spins, shape).chambers:
-            listed = by_support[m - key[:m].count(0)][n - key[m:].count(0)]
-            for p in monomials:
-                if all(map(le, p, key)):
-                    assert p in listed, (shape, key, p)
-            for p in listed:
-                assert all(x == 0 for x, y in zip(p, key) if y == 0), (shape, key, p)
-    # each monomial is listed at every support that holds its own: the unit
-    # vectors of degree 1 at rank 1000, e of them inside the first e positions
-    by_support = occupancy_mod._monomials_by_support(1, (1001, 0))
-    assert [len(row[0]) for row in by_support] == list(range(1002))
+def test_pull_reads_only_monomials_under_the_chamber(monkeypatch):
+    # every read of the pull subtracts a monomial at or below its chamber,
+    # so none lands at a negative exponent; the counts are pinned (the
+    # support index read 750, 359, 502, 102,033 and 24,333 times)
+    reads = []
+    chamber = occupancy_mod._chamber
+
+    def counted(exponents, m):
+        reads.append(min(exponents, default=0))
+        return chamber(exponents, m)
+
+    monkeypatch.setattr(occupancy_mod, "_chamber", counted)
+    for spins, shape, cap, expected in (
+        ((3,) * 4, (4, 0), None, 531),
+        ((2,) * 4, (2, 2), None, 322),
+        ((3,) * 3, (3, 1), None, 346),
+        ((4,) * 8, (5, 0), None, 79_939),
+        ((4,) * 8, (5, 0), (12, 8, 6, 4, 2), 18_083),
+    ):
+        reads.clear()
+        occupancy_mod._pull(spins, shape, cap)
+        assert len(reads) == expected, (spins, shape, cap)
+        assert min(reads) >= 0, (spins, shape, cap)
+    # at degree 1 a chamber with e nonzero entries reads exactly e monomials,
+    # the unit vectors inside its support, even at rank 1000
+    for e in (0, 1, 2, 500, 1000, 1001):
+        clipped = (1,) * e + (0,) * (1001 - e)
+        under = occupancy_mod._monomials_under(1, (1001, 0), clipped)
+        assert sorted(p.index(1) for p in under) == list(range(e))
 
 
 def test_symmetry_identities_small_grid():
@@ -281,9 +291,9 @@ def test_point_reads_build_no_whole_store(capsys, monkeypatch):
     monkeypatch.setattr(occupancy_mod, "_chamber", counted)
     occupancy_mod._pull(spins, shape)
     full_reads = len(reads)
-    # a chamber reads only the monomials inside its support (144,690 reads
-    # when every monomial was read)
-    assert full_reads <= 105_000
+    # a chamber reads only the monomials under it (144,690 reads when every
+    # monomial was read, 102,033 when those inside its support were)
+    assert full_reads <= 80_000
     reads.clear()
     cap = (12, 8, 6, 4, 2)
     assert occupancy_mod._pull(spins, shape, cap) == {cap: full.count((12, 8, 6, 4, 2))}

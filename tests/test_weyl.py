@@ -1,3 +1,4 @@
+import time
 from itertools import accumulate, product
 from math import factorial
 
@@ -111,22 +112,35 @@ def test_group_sum_equals_the_binomial_product():
 
 
 def test_group_walk_cuts_exactly_the_negative_exponents():
-    # every term whose shifted point keeps its exponents nonnegative, and no other
-    spec = close_root_subset(((1, 3), (2, 4)), 3)
-    terms = weyl_denominator_subalgebra(spec).terms
-    for exponents in product(range(-1, 3), repeat=4):
-        kept = []
-        for coeff, shift in terms:
-            chain = (0,) + shift + (0,)
-            moved = [e + chain[a + 1] - chain[a] for a, e in enumerate(exponents)]
-            if min(moved) >= 0:
-                kept.append((coeff, shift))
-        # the shift at label a is the moves summed over the labels 1..a
-        walked = [
-            (sign, tuple(accumulate(moves[:-1])))
-            for sign, moves in weyl_group_terms(split_denominator(spec)[0], exponents)
-        ]
-        assert sorted(walked, key=lambda t: t[1]) == kept
+    # every term whose shifted point keeps its exponents nonnegative, and no
+    # other; in the second subset the labels 1, 3 and 5 sit below, between
+    # and above the walked ones
+    for spec in (close_root_subset(((1, 3), (2, 4)), 3), close_root_subset(((2, 4),), 4)):
+        nlabels = spec.rank + 1
+        terms = weyl_denominator_subalgebra(spec).terms
+        for exponents in product(range(-1, 3), repeat=nlabels):
+            kept = []
+            for coeff, shift in terms:
+                chain = (0,) + shift + (0,)
+                moved = [e + chain[a + 1] - chain[a] for a, e in enumerate(exponents)]
+                if min(moved) >= 0:
+                    kept.append((coeff, shift))
+            # the shift at label a is the moves summed over the labels 1..a
+            walked = [
+                (sign, tuple(accumulate(moves[:-1])))
+                for sign, moves in weyl_group_terms(split_denominator(spec)[0], exponents)
+            ]
+            assert sorted(walked, key=lambda t: t[1]) == kept, (spec, exponents)
+
+
+def test_group_walk_skips_labels_outside_the_components():
+    # one two-label component among 1,001 labels: the unwalked labels get no
+    # level, so a thousand walks take well under a second
+    start = time.perf_counter()
+    for _ in range(1000):
+        terms = weyl_group_terms(((1, 2),), (5,) * 1001)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(terms) == [(-1, (1, -1) + (0,) * 999), (1, (0,) * 1001)]
 
 
 def test_group_refusals():
