@@ -293,6 +293,10 @@ _SUITE_PARAMS = {
 
 _GRID_PARAMS = {"ranks", "two_s_values", "nsites_values"}
 
+# suites whose --r reaches an alternant or the route: a rank-r grid expands a
+# Vandermonde or walks a Weyl group of order (r + 1)!
+_WEYL_RANK_SUITES = {"tensor", "kostka", "pieri", "hooklength"}
+
 
 def cmd_verify(args, out) -> int:
     caps = {key: getattr(args, key) for key in ("r", "twoS", "L") if getattr(args, key) is not None}
@@ -303,6 +307,8 @@ def cmd_verify(args, out) -> int:
     for key in caps:
         if not any(key in _SUITE_PARAMS[name] for name in names):
             raise ValueError(f"--{key} does not apply to the {args.suite} suite")
+    if "r" in caps and _WEYL_RANK_SUITES.intersection(names):
+        weyl_order((range(caps["r"] + 1),))
     failed = False
     for name in names:
         overrides = {

@@ -8,10 +8,13 @@ None of these routines share code or caches with the shift-operator path
 beyond the raw polynomial arithmetic and the validation of degree lists
 (`occupancy.spin_tuple`), so agreement is meaningful evidence.  In
 particular the alternant builds its own product of one-row characters, and
-`matrix_count` counts without the occupancy store.  The memos these routines
-keep across calls are their own.
+`matrix_count` counts without the occupancy store, enumerating each row
+only under the column sums still open.  The memos these routines keep across
+calls are their own; `kostka` and `sympoly.hook_schur` share one enumerator of
+strip removals, which the route does not use.
 """
 
+from collections import defaultdict
 from functools import cache, lru_cache
 from itertools import accumulate
 from math import factorial, prod
@@ -19,7 +22,7 @@ from operator import sub
 
 from .errors import NonTerminating, SizeMismatch
 from .occupancy import spin_tuple
-from .partitions import hook_lengths, partition
+from .partitions import conjugate, hook_lengths, is_partition, partition, strip_removals
 from .sympoly import complete_homogeneous, hook_schur, vandermonde
 
 
@@ -83,49 +86,66 @@ def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:
     columns = tuple(chain[j] - chain[j + 1] for j in range(m + n))
     if any(c < 0 for c in columns):
         return 0
-    return _count_rows(spins, columns, _row_memo(shape), m)
+    return _count_rows(spins, columns, *_row_memo(shape), m)
 
 
 @lru_cache(maxsize=1)
-def _row_memo(shape) -> dict:
-    """Counts for one shape keyed by (remaining degrees, remaining column
-    sums), kept across calls: degree lists that share a suffix share their
-    subcounts.  The columns stay in their given order.  Only the latest
-    shape's memo is kept, because callers sweep one shape at a time."""
-    return {}
+def _row_memo(shape) -> tuple[dict, dict]:
+    """(counts, row lists) for one shape, kept across calls and dropped
+    together; only the latest shape's are kept, as callers sweep one shape at
+    a time.  The counts are keyed by the remaining degrees, then by the
+    remaining column sums in their given order: degree lists that share a
+    suffix share their subcounts."""
+    return defaultdict(dict), {}
 
 
-def _count_rows(spins, columns, memo: dict, evens: int) -> int:
+def _count_rows(spins, columns, counts: dict, lists: dict, evens: int) -> int:
     """Matrices with the row degrees spins and the column sums columns, which
     add up to sum(spins); the columns after the first `evens` hold 0 or 1."""
     if len(spins) < 2:
         # the last row takes exactly the column sums that remain
         return int(max(columns[evens:], default=0) <= 1)
-    key = (spins, columns)
-    count = memo.get(key)
+    at = counts[spins]
+    count = at.get(columns)
     if count is None:
-        count = 0
         below = spins[1:]
-        for row in _rows(spins[0], len(columns), evens):
-            rest = tuple(map(sub, columns, row))
-            if min(rest) >= 0:
-                count += _count_rows(below, rest, memo, evens)
-        memo[key] = count
+        rows = _rows(spins[0], columns, evens, lists)
+        if len(below) == 1 and evens == len(columns):
+            # no column is odd, so every row leaves the last row its column sums
+            count = len(rows)
+        else:
+            count = 0
+            for row in rows:
+                count += _count_rows(below, tuple(map(sub, columns, row)), counts, lists, evens)
+        at[columns] = count
     return count
 
 
-@cache
-def _rows(degree: int, width: int, evens: int) -> tuple[tuple[int, ...], ...]:
-    """Every row of `width` nonnegative entries summing to degree whose
-    entries after the first `evens` are 0 or 1."""
-    if width == 1:
-        return ((degree,),) if evens > 0 or degree <= 1 else ()
-    cap = degree if evens > 0 else min(degree, 1)
-    return tuple(
-        (value,) + rest
-        for value in range(cap + 1)
-        for rest in _rows(degree - value, width - 1, evens - 1)
-    )
+def _rows(degree: int, columns, evens: int, lists: dict) -> list[tuple[int, ...]]:
+    """Every row summing to degree that leaves no column sum negative, its
+    entries after the first `evens` 0 or 1, kept in `lists` by its caps.
+
+    Entry j is at most min(columns[j], degree), or 1, largest first; a branch
+    stops when the entries after j cannot hold the cells left."""
+    caps = tuple(min(c, degree if j < evens else 1) for j, c in enumerate(columns))
+    rows = lists.get((degree, caps))
+    if rows is None:
+        rows = lists[degree, caps] = []
+        room = list(accumulate(caps[:0:-1]))[::-1] + [0]  # what the entries after j hold
+        row, last = list(caps), len(caps) - 1
+
+        def fill(j, left):
+            if j == last:
+                row[j] = left
+                rows.append(tuple(row))
+                return
+            for value in range(min(caps[j], left), max(0, left - room[j]) - 1, -1):
+                row[j] = value
+                fill(j + 1, left - value)
+
+        if degree <= caps[0] + room[0]:
+            fill(0, degree)
+    return rows
 
 
 def horizontal_strip_additions(
@@ -205,8 +225,8 @@ def hook_schur_expansion(
 ) -> dict[tuple[int, ...], int]:
     """Greedy decomposition of a hook-character power into hook characters.
 
-    The witness for the hook cut of `pieri_expansion`; it enumerates
-    tableaux, so no command calls it.
+    The witness for the hook cut of `pieri_expansion`; it expands each hook
+    Schur polynomial it meets in full, so no command calls it.
 
     Repeatedly takes the surviving monomial that is maximal by total degree in
     the first m variables, then lexicographically; that monomial is the
@@ -242,33 +262,12 @@ def hook_schur_expansion(
 
 
 def _assemble_hook(head, cols):
-    from .partitions import conjugate, is_partition
-
     if not (is_partition(head) and is_partition(cols)):
         return None
     assembled = tuple(head) + conjugate(cols)
     if not is_partition(assembled):
         return None
     return partition(assembled)
-
-
-@cache
-def _strip_removals(nu: tuple[int, ...], boxes: int):
-    """All diagrams obtained from nu by removing `boxes` cells, no two in a column."""
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == len(nu):
-            if remaining == 0:
-                out.append(partition(prefix))
-            return
-        below = nu[i + 1] if i + 1 < len(nu) else 0
-        # keeping at least the next old row makes the removal a horizontal strip
-        for value in range(nu[i], max(below, nu[i] - remaining) - 1, -1):
-            rec(i + 1, remaining - (nu[i] - value), prefix + (value,))
-
-    rec(0, boxes, ())
-    return tuple(out)
 
 
 def kostka(nu, lam) -> int:
@@ -288,7 +287,7 @@ def _kostka_cached(nu, lam):
     if not lam:
         return 1
     return sum(
-        _kostka_cached(smaller, lam[:-1]) for smaller in _strip_removals(nu, lam[-1])
+        _kostka_cached(smaller, lam[:-1]) for smaller in strip_removals(nu, lam[-1])
     )
 
 

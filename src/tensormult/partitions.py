@@ -8,6 +8,7 @@ tuples (M_1, ..., M_r); the boundary entries M_0 = total degree and
 M_{r+1} = 0 are implicit and supplied by context.
 """
 
+from functools import cache
 from itertools import accumulate
 
 from .errors import NonStandardWeight, SizeMismatch, TooManyRows
@@ -47,6 +48,27 @@ def hook_lengths(lam) -> tuple[tuple[int, ...], ...]:
         tuple(lam[i] - (j + 1) + conj[j] - (i + 1) + 1 for j in range(lam[i]))
         for i in range(len(lam))
     )
+
+
+@cache
+def strip_removals(nu: tuple[int, ...], boxes: int) -> tuple[tuple[int, ...], ...]:
+    """All diagrams obtained from nu by removing `boxes` cells, no two in a
+    column (a horizontal strip); a vertical strip is one of the conjugate."""
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == len(nu):
+            if remaining == 0:
+                # the rows kept weakly decrease, so only trailing ones can be 0
+                out.append(prefix[: len(prefix) - prefix.count(0)])
+            return
+        below = nu[i + 1] if i + 1 < len(nu) else 0
+        # keeping at least the next old row makes the removal a horizontal strip
+        for value in range(nu[i], max(below, nu[i] - remaining) - 1, -1):
+            rec(i + 1, remaining - (nu[i] - value), prefix + (value,))
+
+    rec(0, boxes, ())
+    return tuple(out)
 
 
 def lambda_from_m(m_vec, two_sl: int) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials over the integers, plus the symmetric
 polynomial constructions used by the character oracles: complete homogeneous,
-Schur (bialternant and tableau routes), skew Schur, hook Schur, Vandermonde.
+Schur (bialternant and tableau routes), skew Schur, Vandermonde, and hook
+Schur (peeled one letter at a time by vertical, then horizontal strips).
 
 Coefficients are Python ints throughout, so all arithmetic is exact at any
 size.  Terms live in a dict keyed by exponent tuples; no operation depends on
@@ -12,7 +13,7 @@ from itertools import permutations
 from operator import add
 
 from .errors import ArityMismatch, NotContained, TooManyRows
-from .partitions import conjugate, partition
+from .partitions import conjugate, partition, strip_removals
 
 
 def _grlex(expv):
@@ -165,14 +166,7 @@ def complete_homogeneous(degree: int, nvars: int) -> SparsePoly:
 
 def vandermonde(nvars: int) -> SparsePoly:
     """Product of (x_i - x_j) over i < j, expanded as the signed permutation sum."""
-    terms = {}
-    staircase = tuple(range(nvars - 1, -1, -1))
-    for perm in permutations(range(nvars)):
-        expv = [0] * nvars
-        for pos, i in enumerate(perm):
-            expv[i] = staircase[pos]
-        terms[tuple(expv)] = _perm_sign(perm)
-    return SparsePoly(nvars, terms)
+    return _alternant((), nvars)
 
 
 def _perm_sign(perm) -> int:
@@ -278,53 +272,32 @@ def skew_schur(lam, tau, nvars: int) -> SparsePoly:
     return SparsePoly(nvars, terms)
 
 
-def _subpartitions(lam, max_part):
-    """All partitions contained in lam with parts at most max_part."""
-
-    def rec(row, cap):
-        if row == len(lam):
-            yield ()
-            return
-        top = min(cap, lam[row])
-        for first in range(top, -1, -1):
-            if first == 0:
-                yield ()
-                return
-            for rest in rec(row + 1, first):
-                yield (first,) + rest
-
-    yield from rec(0, max_part)
-
-
-def _embed(poly: SparsePoly, nvars: int, offset: int) -> SparsePoly:
-    pad_left = (0,) * offset
-    pad_right = (0,) * (nvars - offset - poly.nvars)
-    return SparsePoly(
-        nvars, {pad_left + e + pad_right: c for e, c in poly.terms.items()}
-    )
-
-
 def hook_schur(lam, shape: tuple[int, int]) -> SparsePoly:
-    """Hook Schur polynomial of a hook diagram in m + n variables.
+    """Hook Schur polynomial of a diagram in x_1..x_m, y_1..y_n: the sum over
+    super-tableaux in the letters x_1 < ... < x_m < y_1 < ... < y_n, the x
+    letters semistandard and the y letters strict along rows, weak down
+    columns (Berele-Regev 1987; Macdonald I.5).
 
-    Sum over subdiagrams tau with at most n columns of the skew piece in the
-    first m variables times the conjugate piece in the last n variables.
-    Diagrams outside the (m, n)-hook come out as zero.
+    Peeled one letter at a time from the largest: the cells that hold y_n form
+    a vertical strip, and once no y letters are left, the cells that hold x_m
+    form a horizontal strip.  Diagrams outside the (m, n)-hook come out zero.
     """
-    return _hook_schur_cached(partition(lam), (shape[0], shape[1]))
+    return _hook_schur(partition(lam), shape[0], shape[1])
 
 
 @cache
-def _hook_schur_cached(lam, shape):
-    m, n = shape
-    nvars = m + n
-    total = SparsePoly.zero(nvars)
-    for tau in _subpartitions(lam, n):
-        skew_part = skew_schur(lam, tau, m)
-        if skew_part.is_zero():
-            continue
-        y_part = schur(conjugate(tau), n)
-        if y_part.is_zero():
-            continue
-        total = total + _embed(skew_part, nvars, 0) * _embed(y_part, nvars, m)
-    return total
+def _hook_schur(lam, m: int, n: int) -> SparsePoly:
+    if len(lam) > m and lam[m] > n:
+        return SparsePoly.zero(m + n)  # no filling: lam lies outside the hook
+    if not m + n:
+        return SparsePoly.one(0)
+    # the cells of y_n are a horizontal strip of the conjugate
+    outer = conjugate(lam) if n else lam
+    terms = {}
+    for boxes in range((outer[0] if outer else 0) + 1):
+        for inner in strip_removals(outer, boxes):
+            rest = _hook_schur(conjugate(inner), m, n - 1) if n else _hook_schur(inner, m - 1, 0)
+            for expv, coeff in rest.terms.items():
+                expv += (boxes,)
+                terms[expv] = terms.get(expv, 0) + coeff
+    return SparsePoly(m + n, terms)

@@ -293,6 +293,27 @@ def test_large_denominators_refused_at_once(capsys):
                  "--L", "2", "--rows", "1,0,1"]) == 0
 
 
+def test_verify_refuses_a_rank_grid_above_the_group_limit(capsys):
+    """A rank-9 grid would expand a 10!-term Vandermonde before the route
+    refuses; the cap is refused before any suite runs."""
+    for argv in (
+        ["--suite", "tensor", "--r", "9", "--twoS", "1", "--L", "1"],
+        ["--suite", "kostka", "--r", "9"],
+        ["--suite", "pieri", "--r", "12"],
+        ["--suite", "hooklength", "--r", "9", "--L", "1"],
+        ["--suite", "all", "--r", "9"],
+    ):
+        start = time.perf_counter()
+        assert main(["verify", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "9! = 362880" in capsys.readouterr().err
+    # suites that build neither run at that rank
+    status, out = run_cli(capsys, "verify", "--suite", "backends", "--r", "9", "--twoS", "1",
+                          "--L", "1")
+    assert status == 0
+    assert out == "backends: 0 violations\n"
+
+
 def test_term_counts_without_expanding(capsys, monkeypatch):
     import tensormult.weyl as weyl_mod
 

@@ -1,13 +1,14 @@
 import ast
 import random
 from math import comb
+from operator import sub
 from pathlib import Path
 
 import pytest
 
 import tensormult.oracle
 from tensormult.errors import SizeMismatch
-from tensormult.occupancy import occupancy_coefficient
+from tensormult.occupancy import occupancy_coefficient, occupancy_table, standard_m_vectors
 from tensormult.oracle import (
     hook_length_dimension,
     hook_schur_expansion,
@@ -255,8 +256,42 @@ def test_matrix_count_memo_is_order_free():
     tensormult.oracle._row_memo.cache_clear()
     matrix_count((2,), (3, 3), (2, 0))
     matrix_count((4,), (3, 3), (2, 0))
-    keys = set(tensormult.oracle._row_memo((2, 0)))
-    assert {((3, 3), (4, 2)), ((3, 3), (2, 4))} <= keys
+    counts, _ = tensormult.oracle._row_memo((2, 0))
+    assert {(4, 2), (2, 4)} <= set(counts[(3, 3)])
+
+
+def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):
+    """Every row the enumerator yields leaves every column sum nonnegative and
+    its odd entries 0 or 1, on a deep count and on one backends grid cell."""
+    enumerate_rows = tensormult.oracle._rows
+    calls = []
+
+    def checked(degree, columns, evens, lists):
+        rows = enumerate_rows(degree, columns, evens, lists)
+        calls.append(len(rows))
+        for row in rows:
+            assert sum(row) == degree, (degree, columns, row)
+            assert min(map(sub, columns, row)) >= 0, (columns, row)
+            assert max(row[evens:], default=0) <= 1, (columns, evens, row)
+        return rows
+
+    monkeypatch.setattr(tensormult.oracle, "_rows", checked)
+    assert _fresh_matrix_count((24, 16, 8, 4), (12, 12, 12), (5, 0)) == 299799
+    assert sum(calls) > 1
+    calls.clear()
+    tensormult.oracle._row_memo.cache_clear()
+    spins = (4,) * 6
+    counted = {}
+    for m_vec in standard_m_vectors(3, 24):
+        count = matrix_count(m_vec, spins, (4, 0))
+        if count:
+            counted[m_vec] = count
+    assert counted == occupancy_table(spins, 3)
+    assert calls
+    # and in hook variables, where the odd columns cap their entries at 1
+    calls.clear()
+    assert _fresh_matrix_count((2, 1), (1,) * 6, (2, 1)) == 30
+    assert calls
 
 
 def test_alternant_extends_only_its_latest_product(monkeypatch):

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensormult.errors import ArityMismatch, NotContained, TooManyRows
-from tensormult.partitions import conjugate, hook_partitions_of, partitions_of
+from tensormult.partitions import conjugate, fits_hook, hook_partitions_of, partitions_of
 from tensormult.sympoly import (
     SparsePoly,
     complete_homogeneous,
+    contains,
     divide_exact,
     hook_schur,
     schur,
@@ -143,6 +144,34 @@ def test_hook_schur_conjugation_duality():
                 # swap the variable blocks of the flipped polynomial
                 swapped = {e[n:] + e[:n]: c for e, c in flipped.terms.items()}
                 assert swapped == original.terms
+
+
+def _hook_schur_by_inner_diagrams(lam, shape):
+    """The definition the peel replaces: the sum over the diagrams tau in lam
+    with at most n columns of s_{lam/tau}(x) s_{tau'}(y)."""
+    m, n = shape
+    terms = {}
+    for size in range(sum(lam) + 1):
+        for tau in partitions_of(size, max_part=n):
+            if not contains(lam, tau):
+                continue
+            for ex, cx in skew_schur(lam, tau, m).terms.items():
+                for ey, cy in schur(conjugate(tau), n).terms.items():
+                    terms[ex + ey] = terms.get(ex + ey, 0) + cx * cy
+    return SparsePoly(m + n, terms)
+
+
+def test_hook_schur_peel_matches_the_inner_diagram_sum():
+    outside = 0
+    for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2), (2, 3), (3, 3)):
+        for total in range(0, 8):
+            for lam in partitions_of(total):
+                hs = hook_schur(lam, shape)
+                assert hs == _hook_schur_by_inner_diagrams(lam, shape), (lam, shape)
+                if not fits_hook(lam, shape):
+                    outside += 1
+                    assert hs.is_zero(), (lam, shape)
+    assert outside
 
 
 def test_outside_hook_is_zero():
