@@ -35,8 +35,8 @@ from .partitions import partitions_of
 
 def spin_tuple(spins) -> tuple[int, ...]:
     """Validated per-site degree list (the 2s value of each tensor factor)."""
-    out = tuple(int(x) for x in spins)
-    if any(x < 0 for x in out):
+    out = tuple(map(int, spins))
+    if out and min(out) < 0:
         raise ValueError(f"negative site degree in {out}")
     return out
 

@@ -9,9 +9,12 @@ beyond the raw polynomial arithmetic and the validation of degree lists
 (`occupancy.spin_tuple`), so agreement is meaningful evidence.  In
 particular the alternant builds its own product of one-row characters, and
 `matrix_count` counts without the occupancy store, enumerating each row
-only under the column sums still open.  The memos these routines keep across
+only under the column sums still open and reading each subcount from its
+memo inline, so only a miss recurses.  The memos these routines keep across
 calls are their own; `kostka` and `sympoly.hook_schur` share one enumerator of
-strip removals, which the route does not use.
+strip removals, which the route does not use.  The alternant and the greedy
+witness multiply through `SparsePoly`, whose product packs exponent vectors
+into ints; the route multiplies no polynomials.
 """
 
 from collections import defaultdict
@@ -83,10 +86,15 @@ def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:
     if len(m_vec) != m + n - 1:
         raise ValueError(f"expected {m + n - 1} entries for shape {shape}")
     chain = (sum(spins),) + m_vec + (0,)
-    columns = tuple(chain[j] - chain[j + 1] for j in range(m + n))
-    if any(c < 0 for c in columns):
+    columns = tuple(map(sub, chain, chain[1:]))
+    if min(columns) < 0:
         return 0
-    return _count_rows(spins, columns, *_row_memo(shape), m)
+    if len(spins) < 2:
+        # the last row takes exactly the column sums that remain
+        return int(max(columns[m:], default=0) <= 1)
+    counts, lists = _row_memo(shape)
+    count = counts[spins].get(columns)
+    return _count_rows(spins, columns, counts, lists, m) if count is None else count
 
 
 @lru_cache(maxsize=1)
@@ -100,24 +108,28 @@ def _row_memo(shape) -> tuple[dict, dict]:
 
 
 def _count_rows(spins, columns, counts: dict, lists: dict, evens: int) -> int:
-    """Matrices with the row degrees spins and the column sums columns, which
-    add up to sum(spins); the columns after the first `evens` hold 0 or 1."""
-    if len(spins) < 2:
+    """Matrices with the row degrees spins (at least two) and the column sums
+    columns, which add up to sum(spins); the columns after the first `evens`
+    hold 0 or 1.  Called only when `counts` lacks the count, which it stores:
+    each subcount below is read from the memo inline, and only a miss
+    recurses."""
+    below = spins[1:]
+    rows = _rows(spins[0], columns, evens, lists)
+    if len(below) == 1:
         # the last row takes exactly the column sums that remain
-        return int(max(columns[evens:], default=0) <= 1)
-    at = counts[spins]
-    count = at.get(columns)
-    if count is None:
-        below = spins[1:]
-        rows = _rows(spins[0], columns, evens, lists)
-        if len(below) == 1 and evens == len(columns):
-            # no column is odd, so every row leaves the last row its column sums
-            count = len(rows)
+        if evens == len(columns):
+            count = len(rows)  # no odd column: every row leaves a valid last row
         else:
-            count = 0
-            for row in rows:
-                count += _count_rows(below, tuple(map(sub, columns, row)), counts, lists, evens)
-        at[columns] = count
+            odd = columns[evens:]
+            count = sum(max(map(sub, odd, row[evens:])) <= 1 for row in rows)
+    else:
+        memo = counts[below]
+        count = 0
+        for row in rows:
+            rest = tuple(map(sub, columns, row))
+            found = memo.get(rest)
+            count += _count_rows(below, rest, counts, lists, evens) if found is None else found
+    counts[spins][columns] = count
     return count
 
 

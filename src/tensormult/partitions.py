@@ -10,20 +10,20 @@ M_{r+1} = 0 are implicit and supplied by context.
 
 from functools import cache
 from itertools import accumulate
+from operator import lt
 
 from .errors import NonStandardWeight, SizeMismatch, TooManyRows
 
 
 def partition(parts) -> tuple[int, ...]:
     """Canonical partition from any iterable: validated and stripped of trailing zeros."""
-    p = tuple(int(x) for x in parts)
-    if any(x < 0 for x in p):
+    p = tuple(map(int, parts))
+    if p and min(p) < 0:
         raise ValueError(f"negative part in {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(map(lt, p, p[1:])):
         raise ValueError(f"parts must be weakly decreasing, got {p}")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+    # the parts weakly decrease, so any zeros trail
+    return p[: len(p) - p.count(0)]
 
 
 def is_partition(parts) -> bool:
@@ -34,10 +34,18 @@ def is_partition(parts) -> bool:
 
 def conjugate(lam) -> tuple[int, ...]:
     """Transpose of the diagram (column lengths); an involution."""
-    lam = partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    return transpose(partition(lam))
+
+
+def transpose(lam: tuple[int, ...]) -> tuple[int, ...]:
+    """`conjugate` of a diagram already in canonical form, unvalidated.
+
+    Row i (from 1) ends lam_i - lam_{i+1} columns of length i; listed from the
+    top row, these are the columns from the right."""
+    cols = []
+    for length, (row, below) in enumerate(zip(lam, lam[1:] + (0,)), 1):
+        cols += [length] * (row - below)
+    return tuple(cols[::-1])
 
 
 def hook_lengths(lam) -> tuple[tuple[int, ...], ...]:

@@ -5,15 +5,20 @@ Schur (peeled one letter at a time by vertical, then horizontal strips).
 
 Coefficients are Python ints throughout, so all arithmetic is exact at any
 size.  Terms live in a dict keyed by exponent tuples; no operation depends on
-iteration order.
+iteration order.  A product packs each exponent vector into one int, a fixed
+number of bits per variable (Kronecker substitution), so each pair of terms
+costs one integer addition; the field width comes from the largest exponent
+the product can reach, measured from the least one of each variable, so no
+field carries into its neighbour, and each product term is unpacked to its
+tuple once.
 """
 
 from functools import cache
 from itertools import permutations
-from operator import add
+from operator import mul
 
 from .errors import ArityMismatch, NotContained, TooManyRows
-from .partitions import conjugate, partition, strip_removals
+from .partitions import partition, strip_removals, transpose
 
 
 def _grlex(expv):
@@ -73,12 +78,35 @@ class SparsePoly:
         if isinstance(other, int):
             return SparsePoly(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check_arity(other)
+        if not (self.terms and other.terms):
+            return SparsePoly(self.nvars)
+        # Pack x_i as 2^(i * width).  Packing is linear, so a product's key is
+        # the sum of its factors' keys; its exponents of x_i lie in [least_i,
+        # least_i + span_i], and width covers every span, so once the packed
+        # `least` is subtracted no field carries into its neighbour.
+        least, width = [], 1
+        for a, b in zip(zip(*self.terms), zip(*other.terms)):
+            low = min(a) + min(b)
+            least.append(low)
+            width = max(width, (max(a) + max(b) - low).bit_length())
+        weights = [1 << (i * width) for i in range(self.nvars)]
+        right = [(sum(map(mul, e, weights)), c) for e, c in other.terms.items()]
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return SparsePoly(self.nvars, out)
+            k1 = sum(map(mul, e1, weights))
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        # unpack each nonzero term once
+        base = sum(map(mul, least, weights))
+        mask = (1 << width) - 1
+        shifts = [(i * width, low) for i, low in enumerate(least)]
+        terms = {}
+        for k, c in out.items():
+            if c:
+                k -= base
+                terms[tuple([(k >> shift & mask) + low for shift, low in shifts])] = c
+        return SparsePoly(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -291,12 +319,13 @@ def _hook_schur(lam, m: int, n: int) -> SparsePoly:
         return SparsePoly.zero(m + n)  # no filling: lam lies outside the hook
     if not m + n:
         return SparsePoly.one(0)
-    # the cells of y_n are a horizontal strip of the conjugate
-    outer = conjugate(lam) if n else lam
+    # the cells of y_n are a horizontal strip of the conjugate; every diagram
+    # here is canonical already, so it is transposed without validation
+    outer = transpose(lam) if n else lam
     terms = {}
     for boxes in range((outer[0] if outer else 0) + 1):
         for inner in strip_removals(outer, boxes):
-            rest = _hook_schur(conjugate(inner), m, n - 1) if n else _hook_schur(inner, m - 1, 0)
+            rest = _hook_schur(transpose(inner), m, n - 1) if n else _hook_schur(inner, m - 1, 0)
             for expv, coeff in rest.terms.items():
                 expv += (boxes,)
                 terms[expv] = terms.get(expv, 0) + coeff

@@ -13,6 +13,7 @@ from tensormult.occupancy import (
     hook_table,
     occupancy_coefficient,
     occupancy_table,
+    spin_tuple,
     standard_m_vectors,
     super_occupancy_coefficient,
     super_occupancy_table,
@@ -130,6 +131,21 @@ def test_super_backends_agree():
                 if n == 0:
                     # at n = 0 the hook count is the ordinary rank m - 1 count
                     assert table == occupancy_table((two_s,) * nsites, m - 1)
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return info.type, str(info.value)
+
+
+def test_spin_tuple_errors_keep_their_types_and_texts():
+    assert spin_tuple(iter([2, 0, 1])) == (2, 0, 1)
+    assert spin_tuple(()) == ()
+    assert _raised(spin_tuple, (1, -2)) == (ValueError, "negative site degree in (1, -2)")
+    # entries that are no integers fail in int() itself
+    assert _raised(spin_tuple, ["a"]) == _raised(int, "a")
+    assert _raised(spin_tuple, [None]) == _raised(int, None)
 
 
 def test_super_zero_extension():

@@ -260,6 +260,31 @@ def test_matrix_count_memo_is_order_free():
     assert {(4, 2), (2, 4)} <= set(counts[(3, 3)])
 
 
+def test_matrix_count_recurses_only_on_a_memo_miss(monkeypatch):
+    """Every subcount is read from the memo inline: no `_count_rows` call
+    finds its own key there already, and every call has two rows or more."""
+    count_rows = tensormult.oracle._count_rows
+    calls = []
+
+    def checked(spins, columns, counts, lists, evens):
+        assert len(spins) >= 2, (spins, columns)
+        assert columns not in counts.get(spins, {}), (spins, columns)
+        calls.append(spins)
+        return count_rows(spins, columns, counts, lists, evens)
+
+    monkeypatch.setattr(tensormult.oracle, "_count_rows", checked)
+    for shape in ((3, 0), (2, 1), (1, 2)):
+        tensormult.oracle._row_memo.cache_clear()
+        # degree lists sharing suffixes, as in the backends suite, and repeats
+        for spins in ((2,) * 4, (2,) * 5, (1, 2, 2, 2), (3, 1, 2, 2, 2)):
+            for m_vec in standard_m_vectors(sum(shape) - 1, sum(spins)):
+                first = matrix_count(m_vec, spins, shape)
+                made = len(calls)
+                assert matrix_count(m_vec, spins, shape) == first
+                assert len(calls) == made  # a repeated point is one memo read
+    assert calls
+
+
 def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):
     """Every row the enumerator yields leaves every column sum nonnegative and
     its odd entries 0 or 1, on a deep count and on one backends grid cell."""
@@ -292,6 +317,22 @@ def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):
     calls.clear()
     assert _fresh_matrix_count((2, 1), (1,) * 6, (2, 1)) == 30
     assert calls
+
+
+def test_alternant_extended_across_a_power_of_two_total():
+    """Each list extends the latest in the same variables, and the largest
+    exponent of the running product crosses 8, 16 and 32, so the packed
+    product's field width changes between extensions; each expansion still
+    equals the Pieri fold."""
+    tensormult.oracle._latest_alternant.cache_clear()
+    spins, widths = (), set()
+    for two_s in (3, 2, 4, 1, 7, 9, 0, 16):
+        spins += (two_s,)
+        assert schur_expansion(spins, 2) == schur_expansion_pieri(spins, 2), spins
+        done, poly = tensormult.oracle._latest_alternant(3)
+        assert done == spins
+        widths.add(max(map(max, poly.terms)).bit_length())
+    assert widths >= {3, 4, 5, 6}
 
 
 def test_alternant_extends_only_its_latest_product(monkeypatch):

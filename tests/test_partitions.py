@@ -17,17 +17,32 @@ from tensormult.partitions import (
     partition,
     partitions_of,
     super_m_from_hook,
+    transpose,
 )
 from tensormult.occupancy import standard_m_vectors
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return info.type, str(info.value)
 
 
 def test_partition_canonical_form():
     assert partition((3, 2, 1, 0, 0)) == (3, 2, 1)
     assert partition([]) == ()
-    with pytest.raises(ValueError):
-        partition((1, 2))
-    with pytest.raises(ValueError):
-        partition((2, -1))
+    assert partition((0, 0)) == ()
+    assert partition(iter([2, 2, 0])) == (2, 2)
+    # the errors keep their types and texts
+    assert _raised(partition, (1, 2)) == (ValueError, "parts must be weakly decreasing, got (1, 2)")
+    assert _raised(partition, (3, 0, 1)) == (
+        ValueError, "parts must be weakly decreasing, got (3, 0, 1)")
+    assert _raised(partition, (2, -1)) == (ValueError, "negative part in (2, -1)")
+    # a negative part is reported before the order
+    assert _raised(partition, (-1, 2)) == (ValueError, "negative part in (-1, 2)")
+    # entries that are no integers fail in int() itself
+    assert _raised(partition, ["x"]) == _raised(int, "x")
+    assert _raised(partition, [None]) == _raised(int, None)
 
 
 def test_lambda_from_m_examples():
@@ -52,6 +67,9 @@ def test_conjugate_examples():
     assert conjugate((4, 2)) == (2, 2, 1, 1)
     assert conjugate((6,)) == (1,) * 6
     assert conjugate(()) == ()
+    # only the public conjugate validates its argument
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        conjugate((1, 2))
 
 
 def test_hook_lengths_examples():
@@ -103,6 +121,9 @@ def test_conjugate_involution_exhaustive():
     for total in range(0, 21):
         for lam in partitions_of(total):
             assert conjugate(conjugate(lam)) == lam
+            # the unvalidated transpose agrees: column j holds the rows longer than j
+            cols = tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+            assert transpose(lam) == conjugate(lam) == cols
 
 
 @given(st.lists(st.integers(min_value=0, max_value=8), max_size=6))

@@ -1,7 +1,7 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensormult.errors import ArityMismatch, NotContained, TooManyRows
 from tensormult.partitions import conjugate, fits_hook, hook_partitions_of, partitions_of
@@ -194,6 +194,54 @@ def small_polys(draw):
 def test_mul_associative_commutative(a, b, c):
     assert (a * b).terms == (b * a).terms
     assert ((a * b) * c).terms == (a * (b * c)).terms
+
+
+def tuple_product(a, b):
+    """The reference product: one exponent-tuple sum per pair of terms."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# small, negative, around 2**20 and far past 2**64, so the packed fields
+# range from 1 bit to over 64 and some carry a negative offset
+EXPONENTS = st.one_of(
+    st.integers(-6, 6),
+    st.integers(2**20 - 2, 2**20 + 2),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def poly_pairs(draw):
+    nvars = draw(st.integers(0, 4))
+    exps = st.tuples(*[EXPONENTS] * nvars)
+    return tuple(
+        SparsePoly(nvars, draw(st.dictionaries(exps, st.integers(-3, 3), max_size=6)))
+        for _ in range(2)
+    )
+
+
+BIG = 2**20
+
+
+@settings(max_examples=250, deadline=None)
+@given(poly_pairs())
+# zero polynomials, no variables, fields filled to 2**20 - 1 and reaching
+# 2**20 exactly, and terms that cancel
+@example((SparsePoly.zero(2), poly_of(2, {(3, -1): 2})))
+@example((poly_of(0, {(): 3}), poly_of(0, {(): -4})))
+@example((poly_of(0, {(): 3}), SparsePoly.zero(0)))
+@example((poly_of(2, {(BIG - 1, 0): 1, (0, 1): -1}), poly_of(2, {(0, 0): 1, (1, BIG - 1): 1})))
+@example((poly_of(2, {(BIG - 1, 0): 1, (0, 1): -1}), poly_of(2, {(BIG - 1, 0): 1, (0, 1): -1})))
+@example((poly_of(1, {(1,): 1, (0,): 1}), poly_of(1, {(1,): 1, (0,): -1})))
+def test_packed_product_equals_the_tuple_product(pair):
+    a, b = pair
+    assert (a * b).terms == tuple_product(a, b)
+    assert (a * b).nvars == a.nvars
 
 
 def test_dump_format():
