@@ -20,8 +20,9 @@ pull capped at the chamber it reads, keeping at every level only the
 chambers at or below that one, and returns the one count; the capped counts
 never leave this module.  Every read zero-extends: exponents that are
 negative, or that the store never reaches, count zero, so signed shift sums
-are total functions.  The independent check of these counts is
-`oracle.matrix_count`, which shares no code or cache with this module.
+are total functions.  The independent checks of these counts are
+`oracle.monomial_counts` (a whole store) and `oracle.matrix_count` (a point
+read), which share no code or cache with this module.
 """
 
 from collections.abc import Mapping
@@ -135,8 +136,11 @@ def _monomials_under(two_s: int, shape: tuple[int, int], clipped) -> tuple[tuple
     return tuple(p for p in _site_monomials(two_s, shape) if all(map(le, p, clipped)))
 
 
-def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
+def _pull(spins, shape: tuple[int, int], cap=None, done=(), counts=None) -> dict:
     """Counts of the degree list by chamber, pulled site by site.
+
+    Given the uncapped `counts` of the sites `done`, the pull resumes after
+    them; by default there are none.
 
     Each site of degree d pulls the counts of the sites before it:
     c(nu) = sum over the site's monomials p <= nu of c_before(chamber(nu - p)),
@@ -161,8 +165,9 @@ def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
             for evens in blocks if cap is None or all(map(le, evens, cap))
         ]
 
-    counts = {(0,) * (m + n): 1}
-    total = nsites = 0
+    if counts is None:
+        counts = {(0,) * (m + n): 1}
+    total, nsites = sum(done), len(done) - done.count(0)
     for two_s in spins:
         if not two_s:
             continue
@@ -187,14 +192,29 @@ def _pull(spins, shape: tuple[int, int], cap=None) -> dict:
 
 
 @lru_cache(maxsize=1)
+def _latest_pull(shape: tuple[int, int]) -> list:
+    """[degree list, counts] of the latest uncapped pull in a shape; only the
+    latest shape's is kept."""
+    return [(), None]
+
+
+@lru_cache(maxsize=1)
 def hook_table(spins, shape: tuple[int, int]) -> ChamberStore:
     """The count store of the degree list in hook variables of shape (m, n).
 
     The uncapped pull, so every chamber the sites reach.  Only the most
     recent (spins, shape) is kept, because every caller reads one store at a
-    time.
+    time.  A degree list that extends the latest uncapped pull's in the same
+    shape resumes that pull after its sites, so L + 1 equal sites are one
+    pull level on top of L; any other starts from no sites.
     """
-    return ChamberStore(_pull(spins, shape), shape)
+    latest = _latest_pull(shape)
+    done, counts = latest
+    if spins[: len(done)] != done:
+        done, counts = (), None
+    counts = _pull(spins[len(done):], shape, done=done, counts=counts)
+    latest[:] = spins, counts
+    return ChamberStore(counts, shape)
 
 
 def hook_coefficient(m_vec, spins, shape: tuple[int, int]) -> int:

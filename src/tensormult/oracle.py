@@ -2,31 +2,37 @@
 results: alternant coefficient extraction, the Pieri fold cut to a hook (the
 oracle of every `--check`), greedy hook-character decomposition (the fold's
 witness), semistandard tableau counts, hook-length dimensions, and occupancy
-counts as matrix counts.
+counts, as a whole table (`monomial_counts`) and one weight vector at a
+time as matrix counts (`matrix_count`).
 
 None of these routines share code or caches with the shift-operator path
 beyond the raw polynomial arithmetic and the validation of degree lists
 (`occupancy.spin_tuple`), so agreement is meaningful evidence.  In
-particular the alternant builds its own product of one-row characters, and
-`matrix_count` counts without the occupancy store, enumerating each row
-only under the column sums still open and reading each subcount from its
-memo inline, so only a miss recurses.  The memos these routines keep across
-calls are their own; `kostka` and `sympoly.hook_schur` share one enumerator of
-strip removals, which the route does not use.  The alternant and the greedy
-witness multiply through `SparsePoly`, whose product packs exponent vectors
-into ints; the route multiplies no polynomials.
+particular the alternant and `monomial_counts` build their own products of
+one-row characters, and `matrix_count` counts without the occupancy store,
+enumerating each row only under the column sums still open and reading each
+subcount from its memo inline, so only a miss recurses.  The verify sweeps
+over whole grid cells (the `backends` table half, `symmetry`, `rank-one`)
+read `monomial_counts`; the `backends` random points read `matrix_count`.
+The memos these routines keep across calls are their own; `kostka` and
+`sympoly.hook_schur` share one enumerator of strip removals, which the route
+does not use.  The alternant, `monomial_counts` and the greedy witness
+multiply through `SparsePoly`, whose product packs exponent vectors into
+ints; the route multiplies no polynomials.
 """
 
 from collections import defaultdict
+from collections.abc import Mapping
 from functools import cache, lru_cache
 from itertools import accumulate
 from math import factorial, prod
 from operator import sub
+from types import MappingProxyType
 
 from .errors import NonTerminating, SizeMismatch
 from .occupancy import spin_tuple
 from .partitions import conjugate, hook_lengths, is_partition, partition, strip_removals
-from .sympoly import complete_homogeneous, hook_schur, vandermonde
+from .sympoly import SparsePoly, complete_homogeneous, hook_schur, vandermonde
 
 
 def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
@@ -68,6 +74,36 @@ def _alternant_product(spins, nvars: int):
         poly = poly * complete_homogeneous(two_s, nvars)
     latest[:] = spins, poly
     return poly
+
+
+@lru_cache(maxsize=1)
+def _latest_product(shape: tuple[int, int]) -> list:
+    """[degree list, product] of the latest product of one-row characters in
+    hook variables of a shape; only the latest shape's is kept."""
+    return [(), SparsePoly.one(sum(shape))]
+
+
+def monomial_counts(spins, shape: tuple[int, int]) -> Mapping[tuple[int, ...], int]:
+    """Every monomial of the product of one-row characters, with its count.
+
+    The product of `hook_schur((d,), shape)` over the degrees d of spins (at
+    n = 0 the complete homogeneous h_d in m variables), built here factor by
+    factor: the count at every weight vector of the degree list at once,
+    keyed by the exponents (total - M_1, M_1 - M_2, ..., M_r), where
+    `matrix_count` counts one weight vector.  Exponent vectors the table
+    lacks, negative ones included, count zero.  A degree list that extends
+    the latest one in the same shape multiplies in only its new factors; any
+    other starts again from 1.
+    """
+    spins = spin_tuple(spins)
+    latest = _latest_product(shape)
+    done, poly = latest
+    if spins[: len(done)] != done:
+        done, poly = (), SparsePoly.one(sum(shape))
+    for two_s in spins[len(done):]:
+        poly = poly * hook_schur((two_s,), shape)
+    latest[:] = spins, poly
+    return MappingProxyType(poly.terms)
 
 
 def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:

@@ -8,6 +8,8 @@ the conjectural routes.
 """
 
 import random
+from itertools import accumulate
+from operator import sub
 
 from . import diffformula, occupancy, oracle
 from .partitions import hook_partitions_of, m_from_lambda, partitions_of
@@ -21,21 +23,24 @@ def store_oracle_violations(
     samples: int = 200,
     seed: int = 20240811,
 ) -> list[dict]:
-    """The counts must agree with the independent matrix count: the table half
-    checks the uncapped pull (`occupancy_table`) over the grid, and the point
-    half checks the pull capped at each read (`occupancy_coefficient`) at
-    random points with mixed degrees."""
+    """The counts must agree with independent ones.  The table half checks
+    the uncapped pull (`occupancy_table`) over the grid against the product
+    of one-row characters (`oracle.monomial_counts`), read at every standard
+    weight vector of each cell: every monomial is one, at the exponents
+    (total - M_1, M_1 - M_2, ..., M_r).  The point half checks the pull
+    capped at each read (`occupancy_coefficient`) against the matrix count
+    (`oracle.matrix_count`) at random points with mixed degrees."""
     violations = []
     for rank in range(1, rank_max + 1):
         for two_s in range(1, two_s_max + 1):
             for nsites in range(1, nsites_max + 1):
                 spins = (two_s,) * nsites
                 store = occupancy.occupancy_table(spins, rank)
-                counted = {}
-                for m_vec in occupancy.standard_m_vectors(rank, two_s * nsites):
-                    count = oracle.matrix_count(m_vec, spins, (rank + 1, 0))
-                    if count:
-                        counted[m_vec] = count
+                counted = {
+                    # M_a is the sum of the exponents from position a on
+                    tuple(accumulate(expv[:0:-1]))[::-1]: count
+                    for expv, count in oracle.monomial_counts(spins, (rank + 1, 0)).items()
+                }
                 if store != counted:
                     diff = set(store.items()) ^ set(counted.items())
                     violations.append(
@@ -62,31 +67,37 @@ def store_oracle_violations(
 
 
 def swap_violations(spins, rank: int) -> list[dict]:
-    """Check invariance of the matrix count under every adjacent variable swap.
+    """Check invariance of the counts under every adjacent variable swap.
 
     Swapping variables i and i+1 maps M_i to M_{i-1} + M_{i+1} - M_i (with the
-    boundary conventions M_0 = total degree, M_{r+1} = 0); the count must not
-    change.  The count store reads by sorted exponents, so it satisfies these
-    identities by construction; they are checked on `oracle.matrix_count`,
-    which shares no code with it and has no symmetry built in.  Returns one
-    record per violated identity, empty when all hold.
+    boundary conventions M_0 = total degree, M_{r+1} = 0), which swaps the
+    exponents i and i+1 of the weight's monomial; the count must not change.
+    The count store reads by sorted exponents, so it satisfies these
+    identities by construction; they are checked on the product of one-row
+    characters (`oracle.monomial_counts`), which shares no code with it and
+    keys its counts by exponents in their given order, so it has no
+    symmetry built in.  Returns one record per violated identity, empty when
+    all hold.
     """
-    shape = (rank + 1, 0)
+    counts = oracle.monomial_counts(spins, (rank + 1, 0))
     total = sum(spins)
     violations = []
     for m_vec in occupancy.standard_m_vectors(rank, total):
-        base = oracle.matrix_count(m_vec, spins, shape)
         chain = (total,) + m_vec + (0,)
+        exponents = tuple(map(sub, chain, chain[1:]))
+        base = counts.get(exponents, 0)
         for i in range(1, rank + 1):
-            moved = list(m_vec)
-            moved[i - 1] = chain[i - 1] + chain[i + 1] - chain[i]
-            image = oracle.matrix_count(tuple(moved), spins, shape)
+            swapped = list(exponents)
+            swapped[i - 1], swapped[i] = exponents[i], exponents[i - 1]
+            image = counts.get(tuple(swapped), 0)
             if image != base:
+                moved = list(m_vec)
+                moved[i - 1] = chain[i - 1] + chain[i + 1] - chain[i]
                 violations.append(
                     {
                         "M": list(m_vec),
                         "swap": i,
-                        "image": list(moved),
+                        "image": moved,
                         "count": str(base),
                         "image_count": str(image),
                     }
@@ -112,16 +123,18 @@ def rank_one_violations(two_s_max: int = 6, nsites_max: int = 12) -> list[dict]:
     """Rank-one closed form and palindrome.
 
     The shift route over the count store must equal the two-term difference of
-    the independent matrix counts, and the counts must be palindromic.
+    the independent counts, and the counts must be palindromic.  The counts
+    are the coefficients of the product of one-row characters in two
+    variables (`oracle.monomial_counts`): the count at M is that of
+    x_1^(total - M) x_2^M.
     """
     violations = []
     for two_s in range(1, two_s_max + 1):
         for nsites in range(1, nsites_max + 1):
             total = two_s * nsites
             spins = (two_s,) * nsites
-            counts = {
-                m: oracle.matrix_count((m,), spins, (2, 0)) for m in range(-1, total + 1)
-            }
+            product = oracle.monomial_counts(spins, (2, 0))
+            counts = {m: product.get((total - m, m), 0) for m in range(-1, total + 1)}
             for m in range(total + 1):
                 c_here, c_prev, c_mirror = counts[m], counts[m - 1], counts[total - m]
                 if c_here != c_mirror:

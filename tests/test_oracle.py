@@ -1,6 +1,7 @@
 import ast
 import random
 from math import comb
+from itertools import accumulate, product
 from operator import sub
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from tensormult.oracle import (
     horizontal_strip_additions,
     kostka,
     matrix_count,
+    monomial_counts,
     pieri_expansion,
     schur_expansion,
     schur_expansion_pieri,
@@ -368,3 +370,72 @@ def test_alternant_extends_only_its_latest_product(monkeypatch):
         products.clear()
         assert schur_expansion(spins, rank) == want, (spins, rank)
         assert len(products) == new_factors, (spins, rank)
+
+
+def _fresh_monomial_counts(spins, shape):
+    tensormult.oracle._latest_product.cache_clear()
+    return dict(monomial_counts(spins, shape))
+
+
+def test_monomial_counts_equal_the_matrix_count():
+    """The table holds the matrix count at every weight vector, keyed by its
+    exponents, and nothing else: every weight vector of a box reaching past
+    either end of the range reads the matrix count, which is 0 outside it."""
+    spin_lists = ((2, 0, 1), (0, 3, 1, 0), (1, 1, 2), (0,), ())
+    for shape in ((2, 0), (4, 0), (1, 1), (2, 1), (2, 2)):
+        for spins in spin_lists:
+            table = _fresh_monomial_counts(spins, shape)
+            total = sum(spins)
+            assert all(
+                min(expv) >= 0 and sum(expv) == total and count > 0
+                for expv, count in table.items()
+            ), (shape, spins)
+            seen = 0
+            for m_vec in product(range(-1, total + 2), repeat=sum(shape) - 1):
+                chain = (total,) + m_vec + (0,)
+                exponents = tuple(map(sub, chain, chain[1:]))
+                count = matrix_count(m_vec, spins, shape)
+                assert table.get(exponents, 0) == count, (shape, spins, m_vec)
+                seen += exponents in table
+            assert seen == len(table), (shape, spins)
+
+
+def test_monomial_counts_extend_only_their_latest_product(monkeypatch):
+    """The running product is reused only for an extension of the latest
+    degree list in the same shape; every table equals one built from a
+    cleared cache, across a shape switch, a shrink and a total degree that
+    crosses 8 and 16, so the packed product's field width changes."""
+    factors = []
+    original = tensormult.oracle.hook_schur
+
+    def counted(lam, shape):
+        factors.append(lam)
+        return original(lam, shape)
+
+    sequence = (
+        ((2, 0), (2, 1)),  # a first list
+        ((2, 0, 3, 1), (2, 1)),  # extends it: two new factors, total 6
+        ((2, 0, 3, 1), (2, 1)),  # the same list again
+        ((2, 0, 3, 1, 4), (2, 1)),  # total 10
+        ((2, 0, 3, 1, 4, 0, 7), (2, 1)),  # total 17
+        ((2, 0, 3, 1, 4, 0, 7), (3, 0)),  # another shape: rebuilt
+        ((2, 0, 3), (3, 0)),  # shrinks: rebuilt
+        ((2, 0, 3, 5, 9), (3, 0)),  # extends it, total 19
+        ((1, 2), (3, 0)),  # not an extension: rebuilt
+        ((2, 2, 1), (3, 0)),  # longer, but not an extension: rebuilt
+    )
+    new_factors = (2, 2, 0, 1, 2, 7, 3, 2, 2, 3)
+    expected = [_fresh_monomial_counts(spins, shape) for spins, shape in sequence]
+    assert expected[5] == {
+        expv: matrix_count(tuple(accumulate(expv[:0:-1]))[::-1], sequence[5][0], (3, 0))
+        for expv in expected[5]
+    }
+    tensormult.oracle._latest_product.cache_clear()
+    monkeypatch.setattr(tensormult.oracle, "hook_schur", counted)
+    widths = set()
+    for (spins, shape), new, want in zip(sequence, new_factors, expected):
+        factors.clear()
+        assert monomial_counts(spins, shape) == want, (spins, shape)
+        assert len(factors) == new, (spins, shape)
+        widths.add(max(map(max, want)).bit_length())
+    assert widths >= {3, 4, 5}
