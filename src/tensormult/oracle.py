@@ -1,79 +1,61 @@
 """Independent ground-truth computations for cross-validating the shift-sum
 results: alternant coefficient extraction, the Pieri fold cut to a hook (the
 oracle of every `--check`), greedy hook-character decomposition (the fold's
-witness), semistandard tableau counts, hook-length dimensions, and occupancy
-counts, as a whole table (`monomial_counts`) and one weight vector at a
-time as matrix counts (`matrix_count`).
+witness), semistandard tableau counts, hook-length and Weyl dimensions, and
+occupancy counts, as a whole table (`monomial_counts`) and one weight vector
+at a time as matrix counts (`matrix_count`).
 
-None of these routines share code or caches with the shift-operator path
-beyond the raw polynomial arithmetic and the validation of degree lists
-(`occupancy.spin_tuple`), so agreement is meaningful evidence.  In
-particular the alternant and `monomial_counts` build their own products of
-one-row characters, and `matrix_count` counts without the occupancy store,
-enumerating each row only under the column sums still open and reading each
-subcount from its memo inline, so only a miss recurses.  The verify sweeps
-over whole grid cells (the `backends` table half, `symmetry`, `rank-one`)
-read `monomial_counts`; the `backends` random points read `matrix_count`.
-The memos these routines keep across calls are their own; `kostka` and
-`sympoly.hook_schur` share one enumerator of strip removals, which the route
-does not use.  The alternant, `monomial_counts` and the greedy witness
-multiply through `SparsePoly`, whose product packs exponent vectors into
-ints; the route multiplies no polynomials.
+One product of one-row characters, `monomial_counts`, backs every
+whole-table oracle: the verify sweeps over whole grid cells (the `backends`
+table half, `symmetry`, `rank-one`) read its counts, the alternant
+(`schur_expansion`) reads each multiplicity off it through the Vandermonde's
+terms, and the greedy witness starts its residual from a copy of it.  It
+keeps its latest product and extends it factor by factor.  `matrix_count`
+counts one weight vector without any product, row by row under the column
+sums still open, in one memo per degree list and shape.
+
+These routines share no cache with the shift-operator path, and no code
+beyond `SparsePoly` arithmetic, the validation of degree lists
+(`occupancy.spin_tuple`) and the diagram helpers `partitions.partition`,
+`conjugate` and `is_partition`, so agreement is meaningful evidence.
+`kostka` and `sympoly.hook_schur` share one enumerator of strip removals,
+which the route does not use; the route multiplies no polynomials.
 """
 
-from collections import defaultdict
 from collections.abc import Mapping
 from functools import cache, lru_cache
 from itertools import accumulate
 from math import factorial, prod
-from operator import sub
+from operator import add, sub
 from types import MappingProxyType
 
 from .errors import NonTerminating, SizeMismatch
 from .occupancy import spin_tuple
 from .partitions import conjugate, hook_lengths, is_partition, partition, strip_removals
-from .sympoly import SparsePoly, complete_homogeneous, hook_schur, vandermonde
+from .sympoly import SparsePoly, hook_schur, vandermonde
 
 
 def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
     """Multiplicity of every irreducible in a product of one-row characters.
 
-    Multiplies the product, built here factor by factor, by the Vandermonde
-    determinant and reads the coefficients at staircase-shifted exponents.
+    Reads the alternant off the product in rank + 1 variables
+    (`monomial_counts`): the multiplicity of lam is the sum of
+    sign * count(lam + delta - e) over the terms sign * x^e of the
+    Vandermonde, delta the staircase (Weyl's character formula).  Every
+    monomial of the product's degree is a key, so its weakly decreasing keys
+    are every diagram that can occur.
     """
     nvars = rank + 1
-    poly = _alternant_product(spin_tuple(spins), nvars)
+    counts = monomial_counts(spins, (nvars, 0))
+    staircase = range(nvars - 1, -1, -1)
+    shifts = [(tuple(map(sub, staircase, e)), sign) for e, sign in vandermonde(nvars).terms.items()]
     out = {}
-    for expv, coeff in poly.terms.items():
-        # strictly decreasing staircase-shifted exponents <=> weakly decreasing rows
-        rows = tuple(expv[i] - (nvars - 1 - i) for i in range(nvars))
-        if any(rows[i] < rows[i + 1] for i in range(nvars - 1)) or rows[-1] < 0:
-            continue
-        out[partition(rows)] = coeff
+    for lam in counts:
+        if is_partition(lam):
+            mult = sum(sign * counts.get(tuple(map(add, lam, shift)), 0) for shift, sign in shifts)
+            if mult:
+                out[partition(lam)] = mult
     return out
-
-
-@lru_cache(maxsize=1)
-def _latest_alternant(nvars: int) -> list:
-    """[degree list, product] of the latest alternant product in nvars
-    variables; only the latest number of variables is kept."""
-    return [(), vandermonde(nvars)]
-
-
-def _alternant_product(spins, nvars: int):
-    """The Vandermonde in nvars variables times h_d over the degrees d of spins.
-
-    A degree list that extends the latest one in the same variables
-    multiplies in only its new factors; any other starts from the Vandermonde.
-    """
-    latest = _latest_alternant(nvars)
-    done, poly = latest
-    if spins[: len(done)] != done:
-        done, poly = (), vandermonde(nvars)
-    for two_s in spins[len(done):]:
-        poly = poly * complete_homogeneous(two_s, nvars)
-    latest[:] = spins, poly
-    return poly
 
 
 @lru_cache(maxsize=1)
@@ -125,47 +107,33 @@ def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:
     columns = tuple(map(sub, chain, chain[1:]))
     if min(columns) < 0:
         return 0
-    if len(spins) < 2:
-        # the last row takes exactly the column sums that remain
-        return int(max(columns[m:], default=0) <= 1)
-    counts, lists = _row_memo(shape)
-    count = counts[spins].get(columns)
-    return _count_rows(spins, columns, counts, lists, m) if count is None else count
+    return _count_rows(0, columns, spins, m, *_matrix_memo(spins, shape))
 
 
 @lru_cache(maxsize=1)
-def _row_memo(shape) -> tuple[dict, dict]:
-    """(counts, row lists) for one shape, kept across calls and dropped
-    together; only the latest shape's are kept, as callers sweep one shape at
-    a time.  The counts are keyed by the remaining degrees, then by the
-    remaining column sums in their given order: degree lists that share a
-    suffix share their subcounts."""
-    return defaultdict(dict), {}
+def _matrix_memo(spins, shape) -> tuple[dict, dict]:
+    """(subcounts, row lists) for one degree list in one shape; only the
+    latest pair's are kept.  The subcounts are keyed by (site, open column
+    sums), the column sums in their given order; the row lists by (degree,
+    caps)."""
+    return {}, {}
 
 
-def _count_rows(spins, columns, counts: dict, lists: dict, evens: int) -> int:
-    """Matrices with the row degrees spins (at least two) and the column sums
-    columns, which add up to sum(spins); the columns after the first `evens`
-    hold 0 or 1.  Called only when `counts` lacks the count, which it stores:
-    each subcount below is read from the memo inline, and only a miss
-    recurses."""
-    below = spins[1:]
-    rows = _rows(spins[0], columns, evens, lists)
-    if len(below) == 1:
-        # the last row takes exactly the column sums that remain
-        if evens == len(columns):
-            count = len(rows)  # no odd column: every row leaves a valid last row
+def _count_rows(site, columns, spins, evens: int, counts: dict, lists: dict) -> int:
+    """Matrices with the row degrees spins[site:] and the column sums columns,
+    which have the same total; the columns after the first `evens` hold 0 or
+    1.  Each count is kept in `counts` by (site, columns)."""
+    count = counts.get((site, columns))
+    if count is None:
+        if site >= len(spins) - 1:
+            # the last row takes exactly the column sums that remain
+            count = int(max(columns[evens:], default=0) <= 1)
         else:
-            odd = columns[evens:]
-            count = sum(max(map(sub, odd, row[evens:])) <= 1 for row in rows)
-    else:
-        memo = counts[below]
-        count = 0
-        for row in rows:
-            rest = tuple(map(sub, columns, row))
-            found = memo.get(rest)
-            count += _count_rows(below, rest, counts, lists, evens) if found is None else found
-    counts[spins][columns] = count
+            count = 0
+            for row in _rows(spins[site], columns, evens, lists):
+                rest = tuple(map(sub, columns, row))
+                count += _count_rows(site + 1, rest, spins, evens, counts, lists)
+        counts[site, columns] = count
     return count
 
 
@@ -283,8 +251,7 @@ def hook_schur_expansion(
     assumption broke, which must not happen.
     """
     m, n = shape
-    power = hook_schur((two_s,) if two_s else (), shape) ** nsites
-    residual = dict(power.terms)
+    residual = dict(monomial_counts((two_s,) * nsites, shape))
     out: dict[tuple[int, ...], int] = {}
     last_key = None
     while residual:
@@ -349,8 +316,12 @@ def hook_length_dimension(lam, total: int) -> int:
 
 
 def weyl_dimension(lam, nvars: int) -> int:
-    """Dimension of the irreducible with highest weight lam in nvars variables."""
+    """Dimension of the irreducible with highest weight lam in nvars
+    variables; 0 when lam has more rows than variables, as no such
+    irreducible exists."""
     lam = partition(lam)
+    if len(lam) > nvars:
+        return 0
     rows = lam + (0,) * (nvars - len(lam))
     num = prod(
         rows[i] - rows[j] + j - i

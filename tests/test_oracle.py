@@ -23,7 +23,7 @@ from tensormult.oracle import (
     weyl_dimension,
 )
 from tensormult.partitions import hook_partitions_of, m_from_lambda, partitions_of
-from tensormult.sympoly import schur_tableaux
+from tensormult.sympoly import hook_schur
 
 
 def test_schur_expansion_examples():
@@ -183,11 +183,15 @@ def test_hook_length_dimension_examples():
 
 
 def test_weyl_dimension_matches_tableau_count():
+    """Diagrams with more rows than variables have no tableau and no
+    irreducible: their dimension is 0."""
     for total in range(0, 7):
-        for nvars in (2, 3):
-            for lam in partitions_of(total, max_rows=nvars):
-                count = sum(schur_tableaux(lam, nvars).terms.values())
-                assert weyl_dimension(lam, nvars) == count
+        for nvars in (0, 1, 2, 3):
+            for lam in partitions_of(total, max_rows=nvars + 2):
+                count = sum(hook_schur(lam, (nvars, 0)).terms.values())
+                assert weyl_dimension(lam, nvars) == count, (lam, nvars)
+    for lam, nvars in (((1, 1, 1), 2), ((2, 1, 1), 2), ((3, 2, 1, 1), 3), ((1,), 0)):
+        assert weyl_dimension(lam, nvars) == 0
 
 
 def test_oracle_imports_nothing_of_the_shift_route():
@@ -222,7 +226,7 @@ def test_matrix_count_examples():
 
 
 def _fresh_matrix_count(m_vec, spins, shape):
-    tensormult.oracle._row_memo.cache_clear()
+    tensormult.oracle._matrix_memo.cache_clear()
     return matrix_count(m_vec, spins, shape)
 
 
@@ -250,40 +254,44 @@ def test_matrix_count_memo_is_order_free():
     assert any(expected) and not all(expected)
     order = list(range(len(points)))
     rng.shuffle(order)
-    tensormult.oracle._row_memo.cache_clear()
+    tensormult.oracle._matrix_memo.cache_clear()
     for i in order:
         assert matrix_count(*points[i]) == expected[i], points[i]
     # the memo keeps the columns in their given order, so it has no
     # symmetry built in: (4, 2) and (2, 4) are two entries
-    tensormult.oracle._row_memo.cache_clear()
+    tensormult.oracle._matrix_memo.cache_clear()
     matrix_count((2,), (3, 3), (2, 0))
     matrix_count((4,), (3, 3), (2, 0))
-    counts, _ = tensormult.oracle._row_memo((2, 0))
-    assert {(4, 2), (2, 4)} <= set(counts[(3, 3)])
+    counts, _ = tensormult.oracle._matrix_memo((3, 3), (2, 0))
+    assert {(0, (4, 2)), (0, (2, 4))} <= set(counts)
 
 
 def test_matrix_count_recurses_only_on_a_memo_miss(monkeypatch):
-    """Every subcount is read from the memo inline: no `_count_rows` call
-    finds its own key there already, and every call has two rows or more."""
-    count_rows = tensormult.oracle._count_rows
+    """A repeated point of the same degree list is one memo read, with no row
+    enumerated; another degree list or shape starts from an empty memo, and
+    one list's sweep keeps a single memo."""
+    enumerate_rows = tensormult.oracle._rows
     calls = []
 
-    def checked(spins, columns, counts, lists, evens):
-        assert len(spins) >= 2, (spins, columns)
-        assert columns not in counts.get(spins, {}), (spins, columns)
-        calls.append(spins)
-        return count_rows(spins, columns, counts, lists, evens)
+    def counted(degree, columns, evens, lists):
+        calls.append(degree)
+        return enumerate_rows(degree, columns, evens, lists)
 
-    monkeypatch.setattr(tensormult.oracle, "_count_rows", checked)
+    monkeypatch.setattr(tensormult.oracle, "_rows", counted)
+    tensormult.oracle._matrix_memo.cache_clear()
+    previous = None
     for shape in ((3, 0), (2, 1), (1, 2)):
-        tensormult.oracle._row_memo.cache_clear()
-        # degree lists sharing suffixes, as in the backends suite, and repeats
+        # lists that share a suffix still start from an empty memo each
         for spins in ((2,) * 4, (2,) * 5, (1, 2, 2, 2), (3, 1, 2, 2, 2)):
+            memo = tensormult.oracle._matrix_memo(spins, shape)
+            assert memo == ({}, {}) and memo is not previous, (spins, shape)
             for m_vec in standard_m_vectors(sum(shape) - 1, sum(spins)):
                 first = matrix_count(m_vec, spins, shape)
                 made = len(calls)
                 assert matrix_count(m_vec, spins, shape) == first
                 assert len(calls) == made  # a repeated point is one memo read
+            previous = tensormult.oracle._matrix_memo(spins, shape)
+            assert previous is memo and memo[0], (spins, shape)
     assert calls
 
 
@@ -306,7 +314,7 @@ def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):
     assert _fresh_matrix_count((24, 16, 8, 4), (12, 12, 12), (5, 0)) == 299799
     assert sum(calls) > 1
     calls.clear()
-    tensormult.oracle._row_memo.cache_clear()
+    tensormult.oracle._matrix_memo.cache_clear()
     spins = (4,) * 6
     counted = {}
     for m_vec in standard_m_vectors(3, 24):
@@ -326,12 +334,12 @@ def test_alternant_extended_across_a_power_of_two_total():
     exponent of the running product crosses 8, 16 and 32, so the packed
     product's field width changes between extensions; each expansion still
     equals the Pieri fold."""
-    tensormult.oracle._latest_alternant.cache_clear()
+    tensormult.oracle._latest_product.cache_clear()
     spins, widths = (), set()
     for two_s in (3, 2, 4, 1, 7, 9, 0, 16):
         spins += (two_s,)
         assert schur_expansion(spins, 2) == schur_expansion_pieri(spins, 2), spins
-        done, poly = tensormult.oracle._latest_alternant(3)
+        done, poly = tensormult.oracle._latest_product((3, 0))
         assert done == spins
         widths.add(max(map(max, poly.terms)).bit_length())
     assert widths >= {3, 4, 5, 6}
@@ -341,14 +349,14 @@ def test_alternant_extends_only_its_latest_product(monkeypatch):
     """The running product is reused only for an extension of the latest
     degree list in the same variables; every result equals a fresh one."""
     products = []
-    original = tensormult.oracle.complete_homogeneous
+    original = tensormult.oracle.hook_schur
 
-    def counted(two_s, nvars):
-        products.append(two_s)
-        return original(two_s, nvars)
+    def counted(lam, shape):
+        products.append(lam)
+        return original(lam, shape)
 
     def fresh(spins, rank):
-        tensormult.oracle._latest_alternant.cache_clear()
+        tensormult.oracle._latest_product.cache_clear()
         return schur_expansion(spins, rank)
 
     sequence = (
@@ -364,8 +372,8 @@ def test_alternant_extends_only_its_latest_product(monkeypatch):
     )
     expected = [fresh(spins, rank) for spins, rank, _ in sequence]
     assert expected[1] == schur_expansion_pieri((2, 1, 3, 0), 2)
-    tensormult.oracle._latest_alternant.cache_clear()
-    monkeypatch.setattr(tensormult.oracle, "complete_homogeneous", counted)
+    tensormult.oracle._latest_product.cache_clear()
+    monkeypatch.setattr(tensormult.oracle, "hook_schur", counted)
     for (spins, rank, new_factors), want in zip(sequence, expected):
         products.clear()
         assert schur_expansion(spins, rank) == want, (spins, rank)
