@@ -12,7 +12,7 @@ table half, `symmetry`, `rank-one`) read its counts, the alternant
 terms, and the greedy witness starts its residual from a copy of it.  It
 keeps its latest product and extends it factor by factor.  `matrix_count`
 counts one weight vector without any product, row by row under the column
-sums still open, in one memo per degree list and shape.
+sums still open, in a memo that lives for one call.
 
 These routines share no cache with the shift-operator path, and no code
 beyond `SparsePoly` arithmetic, the validation of degree lists
@@ -107,30 +107,27 @@ def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:
     columns = tuple(map(sub, chain, chain[1:]))
     if min(columns) < 0:
         return 0
-    return _count_rows(0, columns, spins, m, *_matrix_memo(spins, shape))
-
-
-@lru_cache(maxsize=1)
-def _matrix_memo(spins, shape) -> tuple[dict, dict]:
-    """(subcounts, row lists) for one degree list in one shape; only the
-    latest pair's are kept.  The subcounts are keyed by (site, open column
-    sums), the column sums in their given order; the row lists by (degree,
-    caps)."""
-    return {}, {}
+    if len(spins) < 2:
+        # the last row takes exactly the column sums that remain
+        return int(max(columns[m:], default=0) <= 1)
+    return _count_rows(0, columns, spins, m, {}, {})
 
 
 def _count_rows(site, columns, spins, evens: int, counts: dict, lists: dict) -> int:
-    """Matrices with the row degrees spins[site:] and the column sums columns,
-    which have the same total; the columns after the first `evens` hold 0 or
-    1.  Each count is kept in `counts` by (site, columns)."""
+    """Matrices with the row degrees spins[site:], at least two, and the
+    column sums columns, which have the same total; the columns after the
+    first `evens` hold 0 or 1.  Each count is kept in `counts` by (site,
+    columns), and `counts` and `lists` live for one `matrix_count` call."""
     count = counts.get((site, columns))
     if count is None:
-        if site >= len(spins) - 1:
+        rows = _rows(spins[site], columns, evens, lists)
+        if site == len(spins) - 2:
             # the last row takes exactly the column sums that remain
-            count = int(max(columns[evens:], default=0) <= 1)
+            odd = columns[evens:]
+            count = sum(max(map(sub, odd, row[evens:])) <= 1 for row in rows) if odd else len(rows)
         else:
             count = 0
-            for row in _rows(spins[site], columns, evens, lists):
+            for row in rows:
                 rest = tuple(map(sub, columns, row))
                 count += _count_rows(site + 1, rest, spins, evens, counts, lists)
         counts[site, columns] = count

@@ -225,14 +225,9 @@ def test_matrix_count_examples():
         matrix_count((1,), (1, 1), (2, 1))
 
 
-def _fresh_matrix_count(m_vec, spins, shape):
-    tensormult.oracle._matrix_memo.cache_clear()
-    return matrix_count(m_vec, spins, shape)
-
-
 def test_matrix_count_memo_is_order_free():
-    """Counts taken in a shuffled order, with the memo kept across calls,
-    equal counts taken each with a cleared memo."""
+    """Counts taken in a shuffled order equal counts taken in the given
+    order: no memo outlives its call."""
     rng = random.Random(11)
     points = []
     for shape in ((2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
@@ -250,49 +245,41 @@ def test_matrix_count_memo_is_order_free():
                 if rng.random() < 0.7:
                     m_vec = tuple(sorted(m_vec, reverse=True))
                 points.append((m_vec, spins, shape))
-    expected = [_fresh_matrix_count(*point) for point in points]
+    expected = [matrix_count(*point) for point in points]
     assert any(expected) and not all(expected)
     order = list(range(len(points)))
     rng.shuffle(order)
-    tensormult.oracle._matrix_memo.cache_clear()
     for i in order:
         assert matrix_count(*points[i]) == expected[i], points[i]
-    # the memo keeps the columns in their given order, so it has no
-    # symmetry built in: (4, 2) and (2, 4) are two entries
-    tensormult.oracle._matrix_memo.cache_clear()
-    matrix_count((2,), (3, 3), (2, 0))
-    matrix_count((4,), (3, 3), (2, 0))
-    counts, _ = tensormult.oracle._matrix_memo((3, 3), (2, 0))
-    assert {(0, (4, 2)), (0, (2, 4))} <= set(counts)
+    # the columns keep their given order: (4, 2) and (2, 4) count alike
+    assert matrix_count((2,), (3, 3), (2, 0)) == matrix_count((4,), (3, 3), (2, 0)) == 3
 
 
 def test_matrix_count_recurses_only_on_a_memo_miss(monkeypatch):
-    """A repeated point of the same degree list is one memo read, with no row
-    enumerated; another degree list or shape starts from an empty memo, and
-    one list's sweep keeps a single memo."""
+    """Within one count each subcount enumerates its rows once, and the last
+    row is never enumerated; a repeated point counts afresh, to the same
+    count."""
     enumerate_rows = tensormult.oracle._rows
     calls = []
 
     def counted(degree, columns, evens, lists):
-        calls.append(degree)
+        calls.append(columns)
         return enumerate_rows(degree, columns, evens, lists)
 
     monkeypatch.setattr(tensormult.oracle, "_rows", counted)
-    tensormult.oracle._matrix_memo.cache_clear()
-    previous = None
     for shape in ((3, 0), (2, 1), (1, 2)):
-        # lists that share a suffix still start from an empty memo each
+        # no zero degree, so the open column sums' total names the site
         for spins in ((2,) * 4, (2,) * 5, (1, 2, 2, 2), (3, 1, 2, 2, 2)):
-            memo = tensormult.oracle._matrix_memo(spins, shape)
-            assert memo == ({}, {}) and memo is not previous, (spins, shape)
             for m_vec in standard_m_vectors(sum(shape) - 1, sum(spins)):
+                calls.clear()
                 first = matrix_count(m_vec, spins, shape)
-                made = len(calls)
+                made = list(calls)
+                assert len(set(made)) == len(made), (m_vec, spins, shape)
+                assert all(sum(columns) > spins[-1] for columns in made)
+                calls.clear()
                 assert matrix_count(m_vec, spins, shape) == first
-                assert len(calls) == made  # a repeated point is one memo read
-            previous = tensormult.oracle._matrix_memo(spins, shape)
-            assert previous is memo and memo[0], (spins, shape)
-    assert calls
+                assert calls == made  # nothing kept from the first count
+    assert made
 
 
 def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):
@@ -311,10 +298,9 @@ def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):
         return rows
 
     monkeypatch.setattr(tensormult.oracle, "_rows", checked)
-    assert _fresh_matrix_count((24, 16, 8, 4), (12, 12, 12), (5, 0)) == 299799
+    assert matrix_count((24, 16, 8, 4), (12, 12, 12), (5, 0)) == 299799
     assert sum(calls) > 1
     calls.clear()
-    tensormult.oracle._matrix_memo.cache_clear()
     spins = (4,) * 6
     counted = {}
     for m_vec in standard_m_vectors(3, 24):
@@ -325,7 +311,7 @@ def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):
     assert calls
     # and in hook variables, where the odd columns cap their entries at 1
     calls.clear()
-    assert _fresh_matrix_count((2, 1), (1,) * 6, (2, 1)) == 30
+    assert matrix_count((2, 1), (1,) * 6, (2, 1)) == 30
     assert calls
 
 
