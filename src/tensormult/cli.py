@@ -10,6 +10,8 @@ import argparse
 import io
 import json
 import sys
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import diffformula, occupancy, oracle, verify
 from .errors import TensormultError
@@ -69,32 +71,84 @@ def _diagram(label):
     return label[0][0][1]
 
 
-def _lambda_fields(label):
+def _lambda_fields(label, diagram_text):
     return {"lambda": list(_diagram(label))}
 
 
-def _branch_fields(label):
+def _branch_fields(label, diagram_text):
     diagrams, charges = label
     return {
-        "diagrams": [format_partition(lam) for _, lam in diagrams],
+        "diagrams": [diagram_text(lam) for _, lam in diagrams],
         "charges": [value for _, value in charges],
     }
 
 
-def _super_branch_fields(label):
+def _super_branch_fields(label, diagram_text):
     diagrams, charges = label
     return {
         "diagrams": [
-            f"{','.join(map(str, labels))}:{format_partition(lam)}"
+            f"{','.join(map(str, labels))}:{diagram_text(lam)}"
             for labels, lam in diagrams
         ],
         "charges": [f"{a}:{value}" for a, value in charges],
     }
 
 
+def _json(value, pad: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, every line after the
+    first indented by pad more: ints, strings and lists of them written
+    directly, anything else through json.dumps."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = (",\n" + inner).join([_json(item, inner) for item in value])
+        return f"[\n{inner}{items}\n{pad}]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _json_entries(entries) -> str:
+    """The `entries` list of a document, as `_json(entries, "  ")` writes it.
+
+    One template per table: the keys of the first entry, sorted and quoted
+    once.  An entry with other keys is written through json.dumps.
+    """
+    if not entries:
+        return "[]"
+    keys = sorted(entries[0])
+    same = set(keys)
+    template = [(f"\n      {encode_basestring_ascii(key)}: ", key) for key in keys]
+    rows = []
+    for entry in entries:
+        if keys and entry.keys() == same:
+            fields = ",".join([head + _json(entry[key], "      ") for head, key in template])
+            rows.append(f"{{{fields}\n    }}")
+        else:
+            rows.append(_json(entry, "    "))
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
+def _json_doc(doc: dict) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)` for a document of str
+    keys: the top-level keys sorted, `entries` through its template."""
+    if not doc:
+        return "{}"
+    fields = [
+        f"  {encode_basestring_ascii(key)}: "
+        + (_json_entries(doc[key]) if key == "entries" else _json(doc[key], "  "))
+        for key in sorted(doc)
+    ]
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
 def _emit(doc: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        out.write(_json_doc(doc) + "\n")
         return
     entries = doc.get("entries")
     if entries is None:
@@ -127,24 +181,27 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
 
     A subset is closed when built; its even group is refused up front if too
     large, and with --check the Pieri fold of the subset's shape is built once.
-    Every value comes from the one shift route through row(), which gives a
-    label's entry (fields(label), the value and the oracle's) and exits 3 on
-    a mismatch.  A table lists the labels of `diffformula.label_rows`, keeps
-    the rows where either value is nonzero, and exits 3 when an oracle label
-    has no row.  A single query is one row: single(total) gives (query
-    fields, weight vector), which `diffformula._subset_labels` labels or
-    refuses when it labels no highest weight.
+    Every value comes from the one shift route, `diffformula._group_sums`,
+    and row() gives a label's entry (fields(label, diagram_text), the value
+    and the oracle's) and exits 3 on a mismatch.  A table lists the labels of
+    `diffformula.label_rows` and passes all their weight vectors to the
+    route in one call, keeps the rows where either value is nonzero, and
+    exits 3 when an oracle label has no row.  A single query is one row:
+    single(total) gives (query fields, weight vector), which
+    `diffformula._subset_labels` labels or refuses when it labels no highest
+    weight.
     """
     components, odd = split_denominator(sub)
     total = sum(spins)
     check = getattr(args, "check", False)
     unrowed = dict(oracle.pieri_expansion(spins, sub.shape)) if check else {}
     status = EXIT_OK
+    diagram_text = cache(format_partition)  # each distinct diagram formatted once
 
-    def row(m_vec, label):
+    def row(m_vec, label, value):
         nonlocal status
-        mu = str(diffformula.branching_multiplicity_from_m(m_vec, sub, spins))
-        entry = {"M": list(m_vec), **fields(label), "mu": mu}
+        mu = str(value)
+        entry = {"M": list(m_vec), **fields(label, diagram_text), "mu": mu}
         if check:
             entry["oracle"] = str(unrowed.pop(_diagram(label), 0))
             if entry["oracle"] != mu:
@@ -152,7 +209,9 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
         return entry
 
     if args.table:
-        every = (row(m_vec, label) for m_vec, label in diffformula.label_rows(sub, total))
+        rows = diffformula.label_rows(sub, total)
+        values = diffformula._group_sums(sub, [m_vec for m_vec, _ in rows], spins)
+        every = (row(m_vec, label, value) for (m_vec, label), value in zip(rows, values))
         entries = [e for e in every if e["mu"] != "0" or e.get("oracle", "0") != "0"]
         for lam in sorted(unrowed):
             print(f"oracle label {lam} has no table row", file=sys.stderr)
@@ -160,7 +219,8 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
         _emit({"query": query, "entries": entries}, args.format, out)
         return status
     extra, m_vec = single(total)
-    entry = row(m_vec, diffformula._subset_labels(m_vec, sub, total))
+    label = diffformula._subset_labels(m_vec, sub, total)
+    entry = row(m_vec, label, diffformula._group_sums(sub, [m_vec], spins)[0])
     if odd:
         terms = len(weyl_denominator_super_subalgebra(sub, m_vec))
     else:

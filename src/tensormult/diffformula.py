@@ -5,15 +5,18 @@ operator: each term (c, beta) contributes c times the count at M - beta.
 Zero-extension of the counts makes every sum finite and total, so no
 boundary cases need special handling.
 
-There is one shift route, `_group_sum`, for ordinary, branching and hook
-queries alike, and it works on the monomial exponents e = (T - M_1, M_1 -
-M_2, ..., M_r) of the queried weight vector M of degree T.  The denominator
-of a closed root subset is its even Weyl denominator divided by (1 + t^beta)
-over its odd roots beta.  The even part is a sum over the Weyl group of the
-even roots, a product of symmetric groups, and `weyl.weyl_group_terms`
-walks that group per query, cutting every branch that would take an
-exponent below zero.  The odd part acts on the counts once: the walk reads
-the count store divided by the odd factors.  The odd root (i, j) moves
+There is one shift route, `_group_sums`, for ordinary, branching and hook
+queries alike.  It takes a list of weight vectors (a table's, or a single
+query's one) and works on the monomial exponents e = (T - M_1, M_1 - M_2,
+..., M_r) of each vector M of degree T.  The denominator of a closed root
+subset is its even Weyl denominator divided by (1 + t^beta) over its odd
+roots beta.  The even part is a sum over the Weyl group of the even roots, a
+product of symmetric groups, and `weyl.weyl_group_terms` walks that group,
+cutting every branch that would take an exponent below zero.  The walk reads
+each exponent only through its cap (at most the label's position in its
+component), so the route groups the vectors by their caps and walks once
+per group.  The odd part acts on the counts once: the walk reads the count
+store divided by the odd factors.  The odd root (i, j) moves
 exponent from its odd label j to its even label i, so with u_a the unit
 vector at label a,
 
@@ -111,33 +114,52 @@ def _counts(store, odd):
     return _latest[2]
 
 
-def _group_sum(spec: SuperRootSubset, m_vec, spins) -> int:
-    """The denominator of a closed root subset applied to the occupancy counts.
+def _group_sums(spec: SuperRootSubset, m_vecs, spins) -> list[int]:
+    """The denominator of a closed root subset applied to the occupancy
+    counts at each weight vector, in the order given.
 
     A sum over the even Weyl group of the counts divided by the odd factors,
     visiting only the group terms that keep the exponent of every label
-    nonnegative (the others read zero counts).  Odd roots raise the exponent
-    at their even labels, so the walk is given the exponent rank there,
-    which cuts nothing.
+    nonnegative (the others read zero counts).  The walk reads an exponent
+    only through its cap: min(exponent, p) at a walked label at position p
+    in its component, min(exponent, 0) at an unwalked one.  Odd roots raise
+    the exponent at their even labels, so those get the exponent rank, which
+    cuts nothing, before the cap.  The vectors are grouped by their caps,
+    and each group walks the group once; only one group's terms are held at
+    a time.
     """
-    m_vec = tuple(m_vec)
-    if len(m_vec) != spec.rank:
-        raise ValueError(f"expected {spec.rank} entries for shape {spec.shape}, got {m_vec}")
+    m_vecs = list(map(tuple, m_vecs))
+    for m_vec in m_vecs:
+        if len(m_vec) != spec.rank:
+            raise ValueError(f"expected {spec.rank} entries for shape {spec.shape}, got {m_vec}")
     components, odd = split_denominator(spec)
     counts = _counts(occupancy.hook_table(spins, spec.shape), odd)
-    exponents = tuple(map(operator.sub, (sum(spins), *m_vec), (*m_vec, 0)))
-    bounds = list(exponents)
-    for i, _ in odd:
-        bounds[i - 1] = spec.rank
-    result = 0
-    for sign, moves in weyl_group_terms(components, bounds):
-        result += sign * counts(tuple(map(operator.add, exponents, moves)))
-    return result
+    positions = [0] * (spec.rank + 1)
+    for g in components:
+        for p, label in enumerate(g):
+            positions[label - 1] = p
+    total = sum(spins)
+    groups = {}
+    for index, m_vec in enumerate(m_vecs):
+        exponents = tuple(map(operator.sub, (total, *m_vec), (*m_vec, 0)))
+        caps = list(map(min, exponents, positions))
+        for i, _ in odd:
+            caps[i - 1] = positions[i - 1]  # raised by an odd root: rank, capped
+        groups.setdefault(tuple(caps), []).append((index, exponents))
+    values = [0] * len(m_vecs)
+    for caps, members in groups.items():
+        terms = weyl_group_terms(components, caps)
+        for index, exponents in members:
+            result = 0
+            for sign, moves in terms:
+                result += sign * counts(tuple(map(operator.add, exponents, moves)))
+            values[index] = result
+    return values
 
 
 def multiplicity_from_m(m_vec, spins) -> int:
     """Multiplicity at a weight vector, for the full algebra of rank len(m_vec)."""
-    return _group_sum(full_subalgebra(len(m_vec)), m_vec, occupancy.spin_tuple(spins))
+    return _group_sums(full_subalgebra(len(m_vec)), [m_vec], occupancy.spin_tuple(spins))[0]
 
 
 def multiplicity(lam, spins, rank: int) -> int:
@@ -155,7 +177,7 @@ def branching_multiplicity_from_m(m_vec, spec: SuperRootSubset, spins) -> int:
     The empty spec returns the bare occupancy count; the full spec reduces to
     the ordinary multiplicity.
     """
-    return _group_sum(spec, m_vec, occupancy.spin_tuple(spins))
+    return _group_sums(spec, [m_vec], occupancy.spin_tuple(spins))[0]
 
 
 def ambient_rows_to_m(rows, rank: int, two_sl: int) -> tuple[int, ...]:
@@ -215,7 +237,7 @@ def super_multiplicity_from_m(
     m_vec, two_s: int, nsites: int, shape: tuple[int, int]
 ) -> int:
     """Conjectured hook multiplicity at a weight vector."""
-    return _group_sum(hook_algebra(shape), m_vec, occupancy.hook_spins(two_s, nsites))
+    return _group_sums(hook_algebra(shape), [m_vec], occupancy.hook_spins(two_s, nsites))[0]
 
 
 def super_multiplicity(lam, two_s: int, nsites: int, shape: tuple[int, int]) -> int:
@@ -229,7 +251,7 @@ def super_branching_multiplicity_from_m(
     m_vec, sub: SuperRootSubset, two_s: int, nsites: int
 ) -> int:
     """Conjectured restriction multiplicity to a closed hook root subset."""
-    return _group_sum(sub, m_vec, occupancy.hook_spins(two_s, nsites))
+    return _group_sums(sub, [m_vec], occupancy.hook_spins(two_s, nsites))[0]
 
 
 @cache

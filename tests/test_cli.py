@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import subprocess
 import sys
@@ -134,6 +135,60 @@ def test_verify_suite(capsys):
     )
     assert status == 0
     assert out == "symmetry: 0 violations\n"
+
+
+def test_json_writer_prints_the_bytes_of_json_dumps(capsys, monkeypatch):
+    import tensormult.cli as cli_mod
+
+    def dumped(doc):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    docs = []
+    emit = cli_mod._emit
+    monkeypatch.setattr(
+        cli_mod, "_emit", lambda doc, fmt, out: docs.append(doc) or emit(doc, fmt, out)
+    )
+    commands = (
+        # a table whose one row is "lambda": []
+        ["multiplicity", "--algebra", "A2", "--twoS", "0", "--L", "3", "--table"],
+        ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "4", "--table", "--check"],
+        ["branch", "--algebra", "A3", "--roots", "L1-L3", "--twoS", "1", "--L", "3", "--table"],
+        ["super", "--shape", "2,1", "--twoS", "1", "--L", "4", "--table", "--check"],
+        ["super", "--shape", "2,2", "--twoS", "1", "--L", "3", "--roots", "L1-K1",
+         "--table"],
+        ["occupancy", "--algebra", "A2", "--twoS", "1", "--L", "3", "--table"],
+        # single queries, whose documents nest dicts
+        ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "3", "--lambda", "2,1",
+         "--check"],
+        ["branch", "--algebra", "A2", "--roots", "L1-L2", "--twoS", "1", "--L", "3",
+         "--rows", "2,0,1"],
+        ["super", "--shape", "1,2", "--twoS", "1", "--L", "4", "--M", "2,1", "--check"],
+        ["occupancy", "--algebra", "A2", "--twoS", "1", "--L", "3", "--M", "2,1"],
+    )
+    for argv in commands:
+        status, out = run_cli(capsys, *argv)
+        assert status == 0, argv
+        assert out == dumped(docs[-1]), argv
+    assert docs[0]["entries"] == [{"M": [0, 0], "lambda": [], "mu": "1"}]
+    synthetic = (
+        {},
+        {"query": {"algebra": "A1"}, "entries": []},
+        {"entries": [{}, {"M": [1]}]},
+        {
+            "z": None,
+            "entries": [
+                {"M": [3, -1], "s": 'a "quote", a \\ and \u00e9\u2603\n', "x": ["\t", 2, []]},
+                {"M": [], "s": "", "x": [[1, [2]], {"b": 1, "a": [True, 1.5]}]},
+                {"M": [0], "other": "keys"},
+            ],
+            "a": (1, ("b", {})),
+            "nested": {"y": {"x": [1, "\u00ff"]}, "e": []},
+        },
+    )
+    for doc in synthetic:
+        out = io.StringIO()
+        cli_mod._emit(doc, "json", out)
+        assert out.getvalue() == dumped(doc), doc
 
 
 def test_tsv_format(capsys):
@@ -446,13 +501,16 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
         ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "6", "--table", "--check"],
         ["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--table", "--check"],
     )
-    route = cli_mod.diffformula.branching_multiplicity_from_m
+    route = cli_mod.diffformula._group_sums
+
+    def reads_zero_at_3_1(sub, m_vecs, spins):
+        m_vecs = list(m_vecs)
+        values = route(sub, m_vecs, spins)
+        return [0 if m_vec == (3, 1) else v for m_vec, v in zip(m_vecs, values)]
+
     with monkeypatch.context() as patch:
         # a route that reads 0 keeps its row, which then disagrees with the oracle
-        patch.setattr(
-            cli_mod.diffformula, "branching_multiplicity_from_m",
-            lambda m_vec, sub, spins: 0 if m_vec == (3, 1) else route(m_vec, sub, spins),
-        )
+        patch.setattr(cli_mod.diffformula, "_group_sums", reads_zero_at_3_1)
         for argv in tables:
             status, out = run_cli(capsys, *argv)
             assert status == 3

@@ -1,10 +1,13 @@
+import operator
 import random
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from tensormult import diffformula
 from tensormult.diffformula import (
+    _group_sums,
     _subset_labels,
     ambient_rows_to_m,
     apply_shift,
@@ -21,7 +24,12 @@ from tensormult.diffformula import (
     super_multiplicity_from_m,
 )
 from tensormult.errors import NonStandardWeight, SizeMismatch, TooManyRows
-from tensormult.occupancy import occupancy_coefficient, occupancy_table, standard_m_vectors
+from tensormult.occupancy import (
+    hook_table,
+    occupancy_coefficient,
+    occupancy_table,
+    standard_m_vectors,
+)
 from tensormult.oracle import matrix_count, pieri_expansion, schur_expansion, weyl_dimension
 from tensormult.partitions import (
     conjugate,
@@ -35,10 +43,12 @@ from tensormult.weyl import (
     close_root_subset,
     full_subalgebra,
     hook_algebra,
+    parse_roots,
     split_denominator,
     weyl_denominator_ar,
     weyl_denominator_subalgebra,
     weyl_denominator_super_subalgebra,
+    weyl_group_terms,
 )
 
 
@@ -165,6 +175,71 @@ def test_group_walk_equals_the_expanded_denominator():
                     assert branching_multiplicity_from_m(m_vec, spec, spins) == apply_shift(
                         expansion, read, m_vec
                     ), (spec.components, spins, m_vec)
+
+
+def _uncapped_sum(spec, m_vec, spins):
+    """The route at one vector, its group walked with the exponents themselves
+    (the odd roots' even labels at rank) rather than their caps."""
+    components, odd = split_denominator(spec)
+    counts = diffformula._counts(hook_table(spins, spec.shape), odd)
+    exponents = tuple(map(operator.sub, (sum(spins), *m_vec), (*m_vec, 0)))
+    bounds = list(exponents)
+    for i, _ in odd:
+        bounds[i - 1] = spec.rank
+    return sum(
+        sign * counts(tuple(map(operator.add, exponents, moves)))
+        for sign, moves in weyl_group_terms(components, bounds)
+    )
+
+
+def test_a_table_equals_its_rows_one_at_a_time():
+    # the route groups a table's vectors by their caps and walks once per
+    # group; each value must be the one-vector call's, and that the walk
+    # with the exponents uncapped, over labels, non-labels and vectors with
+    # a negative exponent, in a shuffled order
+    rng = random.Random(23)
+    cases = [(full_subalgebra(rank), spins) for rank in range(1, 5)
+             for spins in ((2,) * 4, (3, 0, 2, 1), (0, 0))]
+    cases += [(close_root_subset(roots, rank), spins)
+              for roots, rank in ((((1, 2),), 3), (((2, 4),), 4), (((1, 3), (4, 5)), 5))
+              for spins in ((2,) * 3, (1, 0, 2))]
+    cases += [(hook_algebra(shape), spins)
+              for shape in ((2, 2), (3, 2), (3, 3)) for spins in ((2,) * 4, (1, 0, 1))]
+    cases += [(SuperRootSubset((2, 2), parse_roots("L1-K1,L2-K2", (2, 2))), spins)
+              for spins in ((2,) * 4, (1, 0, 2))]
+    for spec, spins in cases:
+        total = sum(spins)
+        vectors = [m_vec for m_vec, _ in label_rows(spec, total)]
+        vectors += [tuple(rng.randint(-1, total + 1) for _ in range(spec.rank))
+                    for _ in range(30)]
+        rng.shuffle(vectors)
+        values = _group_sums(spec, vectors, spins)
+        assert len(values) == len(vectors)
+        for m_vec, value in zip(vectors, values):
+            assert value == _group_sums(spec, [m_vec], spins)[0], (spec, spins, m_vec)
+            assert value == _uncapped_sum(spec, m_vec, spins), (spec, spins, m_vec)
+    assert _group_sums(full_subalgebra(2), [], (1, 1)) == []
+    with pytest.raises(ValueError, match="expected 2 entries"):
+        _group_sums(full_subalgebra(2), [(1, 0), (1,)], (1, 1))
+
+
+def test_a_table_walks_once_per_cap_class(monkeypatch):
+    walks = []
+
+    def counting(components, caps):
+        walks.append(caps)
+        return weyl_group_terms(components, caps)
+
+    monkeypatch.setattr(diffformula, "weyl_group_terms", counting)
+    for spec, spins, labels, groups in (
+        (close_root_subset(parse_roots("L1-L2,L3-L4"), 4), (3,) * 6, 2200, 4),
+        (full_subalgebra(4), (3,) * 7, 221, 16),
+        (hook_algebra((3, 3)), (2,) * 7, 135, 3),
+    ):
+        walks.clear()
+        rows = label_rows(spec, sum(spins))
+        _group_sums(spec, [m_vec for m_vec, _ in rows], spins)
+        assert (len(rows), len(walks), len(set(walks))) == (labels, groups, groups)
 
 
 def test_branching_pair_inside_rank_two():
