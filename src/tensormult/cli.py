@@ -66,13 +66,8 @@ def _parse_spins(two_s_text: str, nsites) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _diagram(label):
-    """The diagram of a full-algebra label: its one component's."""
-    return label[0][0][1]
-
-
 def _lambda_fields(label, diagram_text):
-    return {"lambda": list(_diagram(label))}
+    return {"lambda": list(diffformula.diagram_of(label))}
 
 
 def _branch_fields(label, diagram_text):
@@ -183,10 +178,9 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
     large, and with --check the Pieri fold of the subset's shape is built once.
     Every value comes from the one shift route, `diffformula._group_sums`,
     and row() gives a label's entry (fields(label, diagram_text), the value
-    and the oracle's) and exits 3 on a mismatch.  A table lists the labels of
-    `diffformula.label_rows` and passes all their weight vectors to the
-    route in one call, keeps the rows where either value is nonzero, and
-    exits 3 when an oracle label has no row.  A single query is one row:
+    and the oracle's) and exits 3 on a mismatch.  A table is one call,
+    `diffformula.table`; it keeps the rows where either value is nonzero,
+    and exits 3 when an oracle label has no row.  A single query is one row:
     single(total) gives (query fields, weight vector), which
     `diffformula._subset_labels` labels or refuses when it labels no highest
     weight.
@@ -203,15 +197,13 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
         mu = str(value)
         entry = {"M": list(m_vec), **fields(label, diagram_text), "mu": mu}
         if check:
-            entry["oracle"] = str(unrowed.pop(_diagram(label), 0))
+            entry["oracle"] = str(unrowed.pop(diffformula.diagram_of(label), 0))
             if entry["oracle"] != mu:
                 status = EXIT_MISMATCH
         return entry
 
     if args.table:
-        rows = diffformula.label_rows(sub, total)
-        values = diffformula._group_sums(sub, [m_vec for m_vec, _ in rows], spins)
-        every = (row(m_vec, label, value) for (m_vec, label), value in zip(rows, values))
+        every = (row(m_vec, label, value) for m_vec, label, value in diffformula.table(sub, spins))
         entries = [e for e in every if e["mu"] != "0" or e.get("oracle", "0") != "0"]
         for lam in sorted(unrowed):
             print(f"oracle label {lam} has no table row", file=sys.stderr)

@@ -6,9 +6,10 @@ Zero-extension of the counts makes every sum finite and total, so no
 boundary cases need special handling.
 
 There is one shift route, `_group_sums`, for ordinary, branching and hook
-queries alike.  It takes a list of weight vectors (a table's, or a single
-query's one) and works on the monomial exponents e = (T - M_1, M_1 - M_2,
-..., M_r) of each vector M of degree T.  The denominator of a closed root
+queries alike.  It takes a list of weight vectors and works on the monomial
+exponents e = (T - M_1, M_1 - M_2, ..., M_r) of each vector M of degree T.
+A whole table is one call, `table`, over the labels of `label_rows`; a
+single query passes its one vector.  The denominator of a closed root
 subset is its even Weyl denominator divided by (1 + t^beta) over its odd
 roots beta.  The even part is a sum over the Weyl group of the even roots, a
 product of symmetric groups, and `weyl.weyl_group_terms` walks that group,
@@ -24,7 +25,8 @@ vector at label a,
 
 where q' is the quotient by the odd roots before beta (the store itself for
 none).  The quotient is evaluated lazily and memoised one odd root at a
-time, so the stack is as deep as the number of odd roots.
+time, so the stack is as deep as the number of odd roots.  Each route call
+builds its own quotient; the module keeps no state between calls.
 """
 
 import operator
@@ -66,7 +68,7 @@ def apply_shift(expansion: SignedExpansion, c_eval, m_vec) -> int:
 
 def _odd_quotient(store, odd):
     """Counts of the store divided by (1 + t^root) over the odd roots, as a
-    function of the exponent vector.
+    function of the exponent vector: `store.count` itself when there are none.
 
     The roots are divided last to first, one memo each.  The memos are keyed
     by exponent vector as given, because a division by only some of the odd
@@ -79,6 +81,8 @@ def _odd_quotient(store, odd):
     is then at nonnegative exponents, provided the queried vector is
     nonnegative at the labels that no odd root raises.
     """
+    if not odd:
+        return store.count
     memos = [{} for _ in odd]
     raised = [any(i == root[0] for root in odd[:level]) for level, (i, _) in enumerate(odd)]
 
@@ -102,18 +106,6 @@ def _odd_quotient(store, odd):
     return partial(quotient, len(odd) - 1)
 
 
-# The latest quotient, kept like the latest store: (store, odd roots, counts).
-_latest = (None, None, None)
-
-
-def _counts(store, odd):
-    """The counts the group walk reads: the store, divided by its odd roots."""
-    global _latest
-    if _latest[0] is not store or _latest[1] != odd:
-        _latest = (store, odd, _odd_quotient(store, odd))
-    return _latest[2]
-
-
 def _group_sums(spec: SuperRootSubset, m_vecs, spins) -> list[int]:
     """The denominator of a closed root subset applied to the occupancy
     counts at each weight vector, in the order given.
@@ -133,7 +125,7 @@ def _group_sums(spec: SuperRootSubset, m_vecs, spins) -> list[int]:
         if len(m_vec) != spec.rank:
             raise ValueError(f"expected {spec.rank} entries for shape {spec.shape}, got {m_vec}")
     components, odd = split_denominator(spec)
-    counts = _counts(occupancy.hook_table(spins, spec.shape), odd)
+    counts = _odd_quotient(occupancy.hook_table(spins, spec.shape), odd)
     positions = [0] * (spec.rank + 1)
     for g in components:
         for p, label in enumerate(g):
@@ -353,6 +345,20 @@ def label_rows(sub: SuperRootSubset, total: int):
         rows.append((m_vec, label))
     rows.sort(key=operator.itemgetter(0))
     return rows
+
+
+def table(sub: SuperRootSubset, spins):
+    """(weight vector, label, multiplicity) for every label of `label_rows`
+    at the degree of spins, in weight order, from one route call."""
+    spins = occupancy.spin_tuple(spins)
+    rows = label_rows(sub, sum(spins))
+    values = _group_sums(sub, [m_vec for m_vec, _ in rows], spins)
+    return [(m_vec, label, value) for (m_vec, label), value in zip(rows, values)]
+
+
+def diagram_of(label):
+    """The diagram of a full or hook algebra's label: its one component's."""
+    return label[0][0][1]
 
 
 def super_branching_weight_from_m(m_vec, sub: SuperRootSubset, two_s: int, nsites: int):

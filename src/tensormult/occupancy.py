@@ -13,7 +13,9 @@ separately, in the n odd variables, so the count depends only on the
 exponents sorted within each block.  The store is keyed by these
 block-sorted exponent vectors, built by a pull over sites in which a chamber
 reads only the site monomials under it, and read by exponent vector
-(`ChamberStore.count`).  Weight vectors stay at the public entry points, and
+(`ChamberStore.count`).  The module keeps one record, the latest uncapped
+pull, which a degree list that equals or extends it in the same shape
+resumes (`hook_table`).  Weight vectors stay at the public entry points, and
 only the two table functions list a store by weight vector, spreading each
 chamber over its orbit.  A point read (`hook_coefficient`) runs the same
 pull capped at the chamber it reads, keeping at every level only the
@@ -26,7 +28,7 @@ read), which share no code or cache with this module.
 """
 
 from collections.abc import Mapping
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, combinations, combinations_with_replacement
 from operator import le, sub
 from types import MappingProxyType
@@ -191,29 +193,22 @@ def _pull(spins, shape: tuple[int, int], cap=None, done=(), counts=None) -> dict
     return counts
 
 
-@lru_cache(maxsize=1)
-def _latest_pull(shape: tuple[int, int]) -> list:
-    """[degree list, counts] of the latest uncapped pull in a shape; only the
-    latest shape's is kept."""
-    return [(), None]
+# The latest uncapped pull: (shape, degree list, counts by chamber).
+_latest_pull = (None, (), None)
 
 
-@lru_cache(maxsize=1)
 def hook_table(spins, shape: tuple[int, int]) -> ChamberStore:
-    """The count store of the degree list in hook variables of shape (m, n).
-
-    The uncapped pull, so every chamber the sites reach.  Only the most
-    recent (spins, shape) is kept, because every caller reads one store at a
-    time.  A degree list that extends the latest uncapped pull's in the same
-    shape resumes that pull after its sites, so L + 1 equal sites are one
-    pull level on top of L; any other starts from no sites.
-    """
-    latest = _latest_pull(shape)
-    done, counts = latest
-    if spins[: len(done)] != done:
+    """The count store of the degree list in hook variables of shape (m, n):
+    the uncapped pull, every chamber the sites reach.  A degree list that
+    equals or extends the record's in its shape resumes it after its sites
+    (L + 1 equal sites are one level on top of L, a repeated list none);
+    any other starts from no sites."""
+    global _latest_pull
+    latest_shape, done, counts = _latest_pull
+    if latest_shape != shape or spins[: len(done)] != done:
         done, counts = (), None
     counts = _pull(spins[len(done):], shape, done=done, counts=counts)
-    latest[:] = spins, counts
+    _latest_pull = (shape, spins, counts)
     return ChamberStore(counts, shape)
 
 
@@ -222,8 +217,8 @@ def hook_coefficient(m_vec, spins, shape: tuple[int, int]) -> int:
 
     The ordinary rank-r count is the shape (r + 1, 0).  Total function:
     out-of-range weights give 0.  A point read runs the pull capped at the
-    weight's chamber, so it builds no whole store and leaves the cached
-    `hook_table` as it is.
+    weight's chamber, so it builds no whole store and leaves the latest
+    uncapped pull as it is.
     """
     exponents = list(map(sub, (sum(spins), *m_vec), (*m_vec, 0)))
     if len(exponents) != sum(shape) or min(exponents) < 0:

@@ -1,6 +1,8 @@
 """Cross-validation suites: every computation route the package offers is
 checked against an independent one over parameter grids.  Each runner returns
-a list of violation records; an empty list means the suite passed.
+a list of violation records; an empty list means the suite passed.  The route
+sweeps read one `diffformula.table` per grid cell, as the CLI does; a diagram
+they enumerate, or an oracle key, without a row is a "no row" violation.
 
 The frozen tables at the bottom are published decompositions of the smallest
 hook algebras at six tensor factors; they double as regression anchors for
@@ -13,7 +15,7 @@ from operator import sub
 
 from . import diffformula, occupancy, oracle
 from .partitions import hook_partitions_of, m_from_lambda, partitions_of
-from .weyl import SuperRootSubset
+from .weyl import SuperRootSubset, full_subalgebra, hook_algebra
 
 
 def store_oracle_violations(
@@ -119,6 +121,15 @@ def symmetry_violations(
     return violations
 
 
+def _route_rows(sub: SuperRootSubset, spins, labels, cell: dict, violations: list):
+    """(diagram, multiplicity) of each row of one `diffformula.table` call;
+    each of `labels` without a row adds a "no row" violation."""
+    rows = [(diffformula.diagram_of(label), mu) for _, label, mu in diffformula.table(sub, spins)]
+    rowed = {lam for lam, _ in rows}
+    violations += [{**cell, "lambda": lam, "kind": "no row"} for lam in sorted(set(labels) - rowed)]
+    return rows
+
+
 def rank_one_violations(two_s_max: int = 6, nsites_max: int = 12) -> list[dict]:
     """Rank-one closed form and palindrome.
 
@@ -126,7 +137,7 @@ def rank_one_violations(two_s_max: int = 6, nsites_max: int = 12) -> list[dict]:
     the independent counts, and the counts must be palindromic.  The counts
     are the coefficients of the product of one-row characters in two
     variables (`oracle.monomial_counts`): the count at M is that of
-    x_1^(total - M) x_2^M.
+    x_1^(total - M) x_2^M, and the diagram (total - M, M) has M <= total / 2.
     """
     violations = []
     for two_s in range(1, two_s_max + 1):
@@ -135,19 +146,18 @@ def rank_one_violations(two_s_max: int = 6, nsites_max: int = 12) -> list[dict]:
             spins = (two_s,) * nsites
             product = oracle.monomial_counts(spins, (2, 0))
             counts = {m: product.get((total - m, m), 0) for m in range(-1, total + 1)}
-            for m in range(total + 1):
-                c_here, c_prev, c_mirror = counts[m], counts[m - 1], counts[total - m]
-                if c_here != c_mirror:
+            cell = {"twoS": two_s, "L": nsites}
+            violations += [{**cell, "M": m, "kind": "palindrome"}
+                           for m in range(total + 1) if counts[m] != counts[total - m]]
+            labels = partitions_of(total, max_rows=2)
+            for lam, mu in _route_rows(full_subalgebra(1), spins, labels, cell, violations):
+                m = total - lam[0]
+                expected = counts[m] - counts[m - 1]
+                if mu != expected:
                     violations.append(
-                        {"twoS": two_s, "L": nsites, "M": m, "kind": "palindrome"}
+                        {**cell, "M": m, "kind": "difference",
+                         "mu": str(mu), "expected": str(expected)}
                     )
-                if m <= total // 2:
-                    mu = diffformula.multiplicity_from_m((m,), spins)
-                    if mu != c_here - c_prev:
-                        violations.append(
-                            {"twoS": two_s, "L": nsites, "M": m, "kind": "difference",
-                             "mu": str(mu), "expected": str(c_here - c_prev)}
-                        )
     return violations
 
 
@@ -162,17 +172,15 @@ def tensor_sweep_violations(
                 spins = (two_s,) * nsites
                 van = oracle.schur_expansion(spins, rank)
                 pieri = oracle.schur_expansion_pieri(spins, rank)
+                cell = {"rank": rank, "twoS": two_s, "L": nsites}
                 if van != pieri:
-                    violations.append(
-                        {"rank": rank, "twoS": two_s, "L": nsites, "kind": "oracles"}
-                    )
-                for lam in partitions_of(two_s * nsites, max_rows=rank + 1):
-                    mu = diffformula.multiplicity(lam, spins, rank)
+                    violations.append({**cell, "kind": "oracles"})
+                labels = [*partitions_of(two_s * nsites, max_rows=rank + 1), *van]
+                for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
                     expected = van.get(lam, 0)
                     if mu != expected or mu < 0:
                         violations.append(
-                            {"rank": rank, "twoS": two_s, "L": nsites,
-                             "lambda": lam, "mu": str(mu), "oracle": str(expected)}
+                            {**cell, "lambda": lam, "mu": str(mu), "oracle": str(expected)}
                         )
     return violations
 
@@ -192,13 +200,13 @@ def pieri_pair_violations(two_s_prime_max: int = 6, rank_max: int = 3) -> list[d
                     (two_sp + two_s - k, k) if k else (two_sp + two_s,)
                     for k in range(two_s + 1)
                 }
-                for lam in partitions_of(two_sp + two_s, max_rows=rank + 1):
-                    mu = diffformula.multiplicity(lam, spins, rank)
+                cell = {"rank": rank, "degrees": spins}
+                labels = [*partitions_of(two_sp + two_s, max_rows=rank + 1), *allowed]
+                for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
                     expected = 1 if lam in allowed else 0
                     if mu != expected:
                         violations.append(
-                            {"rank": rank, "degrees": spins, "lambda": lam,
-                             "mu": str(mu), "expected": expected}
+                            {**cell, "lambda": lam, "mu": str(mu), "expected": expected}
                         )
     return violations
 
@@ -209,14 +217,12 @@ def hook_length_violations(rank_max: int = 4, nsites_max: int = 8) -> list[dict]
     for rank in range(1, rank_max + 1):
         for nsites in range(1, nsites_max + 1):
             spins = (1,) * nsites
-            for lam in partitions_of(nsites, max_rows=rank + 1):
-                mu = diffformula.multiplicity(lam, spins, rank)
+            cell = {"rank": rank, "L": nsites}
+            labels = partitions_of(nsites, max_rows=rank + 1)
+            for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
                 dim = oracle.hook_length_dimension(lam, nsites)
                 if mu != dim:
-                    violations.append(
-                        {"rank": rank, "L": nsites, "lambda": lam,
-                         "mu": str(mu), "dim": str(dim)}
-                    )
+                    violations.append({**cell, "lambda": lam, "mu": str(mu), "dim": str(dim)})
     return violations
 
 
@@ -231,18 +237,17 @@ def super_conjecture_violations(
     for shape in shapes:
         for two_s in two_s_values:
             for nsites in range(1, nsites_max + 1):
-                expected = oracle.pieri_expansion((two_s,) * nsites, shape)
+                spins = (two_s,) * nsites
+                expected = oracle.pieri_expansion(spins, shape)
+                cell = {"shape": shape, "twoS": two_s, "L": nsites}
                 if expected != oracle.hook_schur_expansion(two_s, nsites, shape):
-                    violations.append(
-                        {"shape": shape, "twoS": two_s, "L": nsites, "kind": "oracles"}
-                    )
-                for lam in hook_partitions_of(two_s * nsites, shape):
-                    mu = diffformula.super_multiplicity(lam, two_s, nsites, shape)
+                    violations.append({**cell, "kind": "oracles"})
+                labels = [*hook_partitions_of(two_s * nsites, shape), *expected]
+                for lam, mu in _route_rows(hook_algebra(shape), spins, labels, cell, violations):
                     want = expected.get(lam, 0)
                     if mu != want or mu < 0:
                         violations.append(
-                            {"shape": shape, "twoS": two_s, "L": nsites,
-                             "lambda": lam, "mu": str(mu), "oracle": str(want)}
+                            {**cell, "lambda": lam, "mu": str(mu), "oracle": str(want)}
                         )
     return violations
 

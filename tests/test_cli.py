@@ -1,4 +1,3 @@
-import functools
 import io
 import json
 import subprocess
@@ -533,21 +532,25 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
 def test_check_catches_a_corrupted_store(capsys, monkeypatch):
     import tensormult.occupancy as occupancy_mod
 
-    build = occupancy_mod.hook_table.__wrapped__
+    build = occupancy_mod.hook_table
 
-    @functools.lru_cache(maxsize=1)
     def corrupted(spins, shape):
-        # the largest chamber is that of M = 0, which every table reads
+        # the largest chamber is that of M = 0, which every table reads; the
+        # chambers are copied, so the pull record stays as it was
         chambers = dict(build(spins, shape).chambers)
         chambers[max(chambers)] += 1
         return occupancy_mod.ChamberStore(chambers, shape)
 
-    monkeypatch.setattr(occupancy_mod, "hook_table", corrupted)
-    for argv in (
+    commands = (
         ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "4", "--table", "--check"],
         ["super", "--shape", "2,1", "--twoS", "1", "--L", "4", "--table", "--check"],
-    ):
-        assert run_cli(capsys, *argv)[0] == 3
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(occupancy_mod, "hook_table", corrupted)
+        for argv in commands:
+            assert run_cli(capsys, *argv)[0] == 3
+    for argv in commands:
+        assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_queries_never_iterate_the_store(capsys, monkeypatch):
@@ -574,7 +577,8 @@ def test_queries_never_iterate_the_store(capsys, monkeypatch):
     monkeypatch.setattr(occupancy_mod, "_orbit", refuse)
     # nor may a table filter every weight vector for its labels
     monkeypatch.setattr(occupancy_mod, "standard_m_vectors", refuse)
-    hook_table.cache_clear()
+    # every table pulls its store from no sites
+    monkeypatch.setattr(occupancy_mod, "_latest_pull", (None, (), None))
     for argv, want in zip(commands, expected):
         assert run_cli(capsys, *argv) == want
         assert want[0] == 0 and want[1]

@@ -14,6 +14,7 @@ from tensormult.diffformula import (
     branching_multiplicity,
     branching_multiplicity_from_m,
     branching_weight_from_m,
+    diagram_of,
     even_branching_multiplicity,
     label_rows,
     multiplicity,
@@ -22,6 +23,7 @@ from tensormult.diffformula import (
     super_branching_weight_from_m,
     super_multiplicity,
     super_multiplicity_from_m,
+    table,
 )
 from tensormult.errors import NonStandardWeight, SizeMismatch, TooManyRows
 from tensormult.occupancy import (
@@ -181,7 +183,7 @@ def _uncapped_sum(spec, m_vec, spins):
     """The route at one vector, its group walked with the exponents themselves
     (the odd roots' even labels at rank) rather than their caps."""
     components, odd = split_denominator(spec)
-    counts = diffformula._counts(hook_table(spins, spec.shape), odd)
+    counts = diffformula._odd_quotient(hook_table(spins, spec.shape), odd)
     exponents = tuple(map(operator.sub, (sum(spins), *m_vec), (*m_vec, 0)))
     bounds = list(exponents)
     for i, _ in odd:
@@ -311,18 +313,23 @@ def test_super_two_one_closed_form():
 
 
 def test_hook_conjecture_sweep_against_the_fold():
-    # the conjectural hook route on the hooks beyond the verify suite's grid;
-    # a violation here is a finding about the conjecture, reported as is
+    # the conjectural hook route on the hooks beyond the verify suite's grid,
+    # one table per cell with a row for every diagram of the hook; a
+    # violation here is a finding about the conjecture, reported as is
     checked, violations = 0, []
     for shape in ((3, 1), (1, 3), (3, 2), (2, 3), (3, 3)):
         for two_s in (1, 2):
             for nsites in range(1, 8):
-                expected = pieri_expansion((two_s,) * nsites, shape)
-                for lam in hook_partitions_of(two_s * nsites, shape):
-                    checked += 1
-                    mu = super_multiplicity(lam, two_s, nsites, shape)
-                    if mu != expected.get(lam, 0):
-                        violations.append((shape, two_s, nsites, lam, mu))
+                spins = (two_s,) * nsites
+                expected = pieri_expansion(spins, shape)
+                rows = [(diagram_of(label), mu)
+                        for _, label, mu in table(hook_algebra(shape), spins)]
+                diagrams = sorted(lam for lam, _ in rows)
+                assert diagrams == sorted(hook_partitions_of(two_s * nsites, shape))
+                assert set(expected) <= set(diagrams)
+                checked += len(rows)
+                violations += [(shape, two_s, nsites, lam, mu) for lam, mu in rows
+                               if mu != expected.get(lam, 0)]
     assert checked == 1544
     assert violations == []
 

@@ -273,23 +273,20 @@ def test_capped_read_equals_full_read():
                 assert count == table.get(m_vec, 0) == matrix_count(m_vec, spins, shape), (
                     shape, spins, m_vec,
                 )
-    # point reads leave the latest whole store cached
+    # point reads leave the latest uncapped pull's counts in place
     store = hook_table((2, 2, 2), (2, 1))
+    counts = occupancy_mod._latest_pull[2]
     hook_coefficient((3, 1), (1, 2, 1), (2, 1))
-    assert hook_table((2, 2, 2), (2, 1)) is store
-
-
-def _fresh_store(spins, shape):
-    hook_table.cache_clear()
-    occupancy_mod._latest_pull.cache_clear()
-    return dict(hook_table(spins, shape).chambers)
+    assert occupancy_mod._latest_pull[:2] == ((2, 1), (2, 2, 2))
+    assert occupancy_mod._latest_pull[2] is counts == store.chambers
 
 
 def test_resumed_store_equals_a_fresh_pull(monkeypatch):
-    """A store whose degree list extends the latest uncapped pull's in the
-    same shape pulls only its new sites; every store equals one pulled from
-    no sites, across zero degrees, a shape switch and a list that is no
-    extension.  A point read leaves the record as it was."""
+    """A store whose degree list equals or extends the latest uncapped
+    pull's in the same shape pulls only its new sites; every store equals
+    one pulled from no sites, across zero degrees, a repeated list, a shape
+    switch and a list that is no extension.  A point read leaves the record
+    as it was."""
     pulled = []
     pull = occupancy_mod._pull
 
@@ -301,6 +298,7 @@ def test_resumed_store_equals_a_fresh_pull(monkeypatch):
         ((2, 0), (2, 1), (2, 0)),  # a first list
         ((2, 0, 0, 3), (2, 1), (0, 3)),  # extends it
         ((2, 0, 0, 3, 0), (2, 1), (0,)),  # extends it by a zero degree
+        ((2, 0, 0, 3, 0), (2, 1), ()),  # repeats it: no site
         ((2, 0, 0, 3, 0, 1, 2), (2, 1), (1, 2)),
         ((2, 0, 0, 3, 0, 1, 2, 2), (3, 0), (2, 0, 0, 3, 0, 1, 2, 2)),  # a shape switch
         ((2, 0, 0, 3, 0, 1, 2, 2, 1), (3, 0), (1,)),
@@ -308,23 +306,21 @@ def test_resumed_store_equals_a_fresh_pull(monkeypatch):
         ((2, 1, 1), (3, 0), (2, 1, 1)),  # no extension
         ((2, 1, 1, 4), (3, 0), (4,)),
     )
-    expected = [_fresh_store(spins, shape) for spins, shape, _ in sequence]
-    hook_table.cache_clear()
-    occupancy_mod._latest_pull.cache_clear()
+    expected = [pull(spins, shape) for spins, shape, _ in sequence]
+    monkeypatch.setattr(occupancy_mod, "_latest_pull", (None, (), None))
     monkeypatch.setattr(occupancy_mod, "_pull", counted)
     for (spins, shape, new), want in zip(sequence, expected):
         pulled.clear()
         assert hook_table(spins, shape).chambers == want, (spins, shape)
         assert pulled == [new], (spins, shape)
         # point reads in this and another shape pull capped, beside the record
-        latest = occupancy_mod._latest_pull(shape)
-        record = list(latest)
+        record = occupancy_mod._latest_pull
+        assert record[:2] == (shape, spins)
         assert hook_coefficient((3, 1), spins + (1,), (2, 1)) == matrix_count(
             (3, 1), spins + (1,), (2, 1)
         )
         assert hook_coefficient((2, 1), (2, 1), (3, 0)) == 3  # x1 x2 x3 in h_2 h_1
-        assert occupancy_mod._latest_pull(shape) is latest
-        assert latest[0] == record[0] == spins and latest[1] is record[1]
+        assert occupancy_mod._latest_pull is record
 
 
 def test_point_reads_build_no_whole_store(capsys, monkeypatch):
