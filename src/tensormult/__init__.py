@@ -6,24 +6,13 @@ counts, and every route is cross-validated against independent symmetric
 function oracles.  All arithmetic is exact integer arithmetic.
 """
 
-from .diffformula import (
-    apply_shift,
-    branching_multiplicity,
-    branching_multiplicity_from_m,
-    even_branching_multiplicity,
-    multiplicity,
-    multiplicity_from_m,
-    super_branching_multiplicity_from_m,
-    super_multiplicity,
-    super_multiplicity_from_m,
-)
+from .diffformula import apply_shift, even_branching_multiplicity, multiplicities, table
 from .errors import (
     ArityMismatch,
     InvalidTruncation,
     NonStandardWeight,
     NonTerminating,
     NotClosed,
-    NotContained,
     SizeMismatch,
     TensormultError,
     TooManyRows,
@@ -54,15 +43,7 @@ from .partitions import (
     partition,
     super_m_from_hook,
 )
-from .sympoly import (
-    SparsePoly,
-    complete_homogeneous,
-    hook_schur,
-    schur,
-    schur_tableaux,
-    skew_schur,
-    vandermonde,
-)
+from .sympoly import SparsePoly, hook_schur, vandermonde
 from .weyl import (
     SignedExpansion,
     SuperRootSubset,

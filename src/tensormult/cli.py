@@ -176,7 +176,7 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
 
     A subset is closed when built; its even group is refused up front if too
     large, and with --check the Pieri fold of the subset's shape is built once.
-    Every value comes from the one shift route, `diffformula._group_sums`,
+    Every value comes from the one shift route, `diffformula.multiplicities`,
     and row() gives a label's entry (fields(label, diagram_text), the value
     and the oracle's) and exits 3 on a mismatch.  A table is one call,
     `diffformula.table`; it keeps the rows where either value is nonzero,
@@ -212,7 +212,7 @@ def _run_query(args, out, sub: SuperRootSubset, spins, query, fields, single) ->
         return status
     extra, m_vec = single(total)
     label = diffformula._subset_labels(m_vec, sub, total)
-    entry = row(m_vec, label, diffformula._group_sums(sub, [m_vec], spins)[0])
+    entry = row(m_vec, label, diffformula.multiplicities(sub, [m_vec], spins)[0])
     if odd:
         terms = len(weyl_denominator_super_subalgebra(sub, m_vec))
     else:

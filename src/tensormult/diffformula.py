@@ -5,21 +5,21 @@ operator: each term (c, beta) contributes c times the count at M - beta.
 Zero-extension of the counts makes every sum finite and total, so no
 boundary cases need special handling.
 
-There is one shift route, `_group_sums`, for ordinary, branching and hook
-queries alike.  It takes a list of weight vectors and works on the monomial
-exponents e = (T - M_1, M_1 - M_2, ..., M_r) of each vector M of degree T.
-A whole table is one call, `table`, over the labels of `label_rows`; a
-single query passes its one vector.  The denominator of a closed root
-subset is its even Weyl denominator divided by (1 + t^beta) over its odd
-roots beta.  The even part is a sum over the Weyl group of the even roots, a
-product of symmetric groups, and `weyl.weyl_group_terms` walks that group,
-cutting every branch that would take an exponent below zero.  The walk reads
-each exponent only through its cap (at most the label's position in its
-component), so the route groups the vectors by their caps and walks once
-per group.  The odd part acts on the counts once: the walk reads the count
-store divided by the odd factors.  The odd root (i, j) moves
-exponent from its odd label j to its even label i, so with u_a the unit
-vector at label a,
+There is one shift route, `multiplicities`, for ordinary, branching and
+hook queries alike.  It takes a list of weight vectors and works on the
+monomial exponents e = (T - M_1, M_1 - M_2, ..., M_r) of each vector M of
+degree T.  A whole table is one call, `table`, over the labels of
+`label_rows`; a single query passes its one vector.  The denominator of a
+closed root subset is its even Weyl denominator divided by (1 + t^beta)
+over its odd roots beta.  The even part is a sum over the Weyl group of the
+even roots, a product of symmetric groups, and `weyl.weyl_group_terms`
+walks that group, cutting every branch that would take an exponent below
+zero.  The walk reads each exponent only through its cap (at most the
+label's position in its component), so the route groups the vectors by
+their caps and walks once per group.  The odd part acts on the counts once:
+the walk reads the count store divided by the odd factors.  The odd root
+(i, j) moves exponent from its odd label j to its even label i, so with u_a
+the unit vector at label a,
 
     q_beta(e) = sum over k >= 0 of (-1)^k q'(e + k (u_i - u_j)),
 
@@ -36,19 +36,11 @@ from math import comb
 
 from . import occupancy
 from .errors import NonStandardWeight, SizeMismatch
-from .partitions import (
-    hook_from_super_m,
-    hook_partitions_of,
-    hook_rows,
-    m_from_lambda,
-    partition,
-    super_m_from_hook,
-)
+from .partitions import hook_from_super_m, hook_partitions_of, hook_rows, m_from_lambda
 from .weyl import (
     SignedExpansion,
     SuperRootSubset,
     full_subalgebra,
-    hook_algebra,
     split_denominator,
     weyl_group_terms,
 )
@@ -106,9 +98,16 @@ def _odd_quotient(store, odd):
     return partial(quotient, len(odd) - 1)
 
 
-def _group_sums(spec: SuperRootSubset, m_vecs, spins) -> list[int]:
+def multiplicities(sub: SuperRootSubset, m_vecs, spins) -> list[int]:
     """The denominator of a closed root subset applied to the occupancy
-    counts at each weight vector, in the order given.
+    counts of the degree list spins at each weight vector, in the order given.
+
+    The one route for ordinary (`full_subalgebra`), branching and hook
+    (`hook_algebra`) queries alike: at a label's weight vector the value is
+    its multiplicity, elsewhere a signed, reflected number.  A caller labels
+    its vectors with `partitions.m_from_lambda` or `super_m_from_hook`, and a
+    power of one module has the degree list `occupancy.hook_spins`; a whole
+    table is `table`.
 
     A sum over the even Weyl group of the counts divided by the odd factors,
     visiting only the group terms that keep the exponent of every label
@@ -120,13 +119,14 @@ def _group_sums(spec: SuperRootSubset, m_vecs, spins) -> list[int]:
     and each group walks the group once; only one group's terms are held at
     a time.
     """
+    spins = occupancy.spin_tuple(spins)
     m_vecs = list(map(tuple, m_vecs))
     for m_vec in m_vecs:
-        if len(m_vec) != spec.rank:
-            raise ValueError(f"expected {spec.rank} entries for shape {spec.shape}, got {m_vec}")
-    components, odd = split_denominator(spec)
-    counts = _odd_quotient(occupancy.hook_table(spins, spec.shape), odd)
-    positions = [0] * (spec.rank + 1)
+        if len(m_vec) != sub.rank:
+            raise ValueError(f"expected {sub.rank} entries for shape {sub.shape}, got {m_vec}")
+    components, odd = split_denominator(sub)
+    counts = _odd_quotient(occupancy.hook_table(spins, sub.shape), odd)
+    positions = [0] * (sub.rank + 1)
     for g in components:
         for p, label in enumerate(g):
             positions[label - 1] = p
@@ -147,29 +147,6 @@ def _group_sums(spec: SuperRootSubset, m_vecs, spins) -> list[int]:
                 result += sign * counts(tuple(map(operator.add, exponents, moves)))
             values[index] = result
     return values
-
-
-def multiplicity_from_m(m_vec, spins) -> int:
-    """Multiplicity at a weight vector, for the full algebra of rank len(m_vec)."""
-    return _group_sums(full_subalgebra(len(m_vec)), [m_vec], occupancy.spin_tuple(spins))[0]
-
-
-def multiplicity(lam, spins, rank: int) -> int:
-    """Multiplicity of the irreducible labeled by lam in the product of one-row
-    modules with degrees `spins`, for the rank-`rank` algebra."""
-    spins = occupancy.spin_tuple(spins)
-    m_vec = m_from_lambda(lam, rank, sum(spins))
-    return multiplicity_from_m(m_vec, spins)
-
-
-def branching_multiplicity_from_m(m_vec, spec: SuperRootSubset, spins) -> int:
-    """Restriction multiplicity at an ambient weight vector, for a closed
-    subset without odd roots.
-
-    The empty spec returns the bare occupancy count; the full spec reduces to
-    the ordinary multiplicity.
-    """
-    return _group_sums(spec, [m_vec], occupancy.spin_tuple(spins))[0]
 
 
 def ambient_rows_to_m(rows, rank: int, two_sl: int) -> tuple[int, ...]:
@@ -200,50 +177,6 @@ def branching_weight_from_m(m_vec, spec: SuperRootSubset, two_sl: int):
     except NonStandardWeight:
         return None
     return tuple(lam for _, lam in diagrams), tuple(value for _, value in charges)
-
-
-def branching_multiplicity(diagrams, charges, spec: SuperRootSubset, spins) -> int:
-    """Restriction multiplicity for explicit per-component diagrams and charges.
-
-    Ambient rows are reassembled in label order before converting to the
-    weight vector.
-    """
-    spins = occupancy.spin_tuple(spins)
-    two_sl = sum(spins)
-    rows = [0] * (spec.rank + 1)
-    if len(diagrams) != len(spec.components) or len(charges) != len(spec.abelian):
-        raise ValueError("diagrams/charges do not match the subalgebra spec")
-    for comp, lam in zip(spec.components, diagrams):
-        lam = partition(lam)
-        if len(lam) > len(comp):
-            raise SizeMismatch(f"{lam} has more rows than component {comp}")
-        for label, row in zip(comp, lam + (0,) * (len(comp) - len(lam))):
-            rows[label - 1] = row
-    for label, charge in zip(spec.abelian, charges):
-        rows[label - 1] = int(charge)
-    m_vec = ambient_rows_to_m(rows, spec.rank, two_sl)
-    return branching_multiplicity_from_m(m_vec, spec, spins)
-
-
-def super_multiplicity_from_m(
-    m_vec, two_s: int, nsites: int, shape: tuple[int, int]
-) -> int:
-    """Conjectured hook multiplicity at a weight vector."""
-    return _group_sums(hook_algebra(shape), [m_vec], occupancy.hook_spins(two_s, nsites))[0]
-
-
-def super_multiplicity(lam, two_s: int, nsites: int, shape: tuple[int, int]) -> int:
-    """Conjectured multiplicity of the hook irreducible lam in the power of the
-    one-row module of degree two_s."""
-    m_vec = super_m_from_hook(lam, two_s * nsites, shape)
-    return super_multiplicity_from_m(m_vec, two_s, nsites, shape)
-
-
-def super_branching_multiplicity_from_m(
-    m_vec, sub: SuperRootSubset, two_s: int, nsites: int
-) -> int:
-    """Conjectured restriction multiplicity to a closed hook root subset."""
-    return _group_sums(sub, [m_vec], occupancy.hook_spins(two_s, nsites))[0]
 
 
 @cache
@@ -352,7 +285,7 @@ def table(sub: SuperRootSubset, spins):
     at the degree of spins, in weight order, from one route call."""
     spins = occupancy.spin_tuple(spins)
     rows = label_rows(sub, sum(spins))
-    values = _group_sums(sub, [m_vec for m_vec, _ in rows], spins)
+    values = multiplicities(sub, [m_vec for m_vec, _ in rows], spins)
     return [(m_vec, label, value) for (m_vec, label), value in zip(rows, values)]
 
 
@@ -385,4 +318,5 @@ def even_branching_multiplicity(
     if two_s < 1:
         raise ValueError("one-row degree must be at least 1")
     spins = (two_s,) * (nsites - charge) + (two_s - 1,) * charge
-    return comb(nsites, charge) * multiplicity(lam, spins, m - 1)
+    m_vec = m_from_lambda(lam, m - 1, sum(spins))
+    return comb(nsites, charge) * multiplicities(full_subalgebra(m - 1), [m_vec], spins)[0]

@@ -21,10 +21,6 @@ class ArityMismatch(TensormultError):
     """Polynomial operands carry different numbers of variables."""
 
 
-class NotContained(TensormultError):
-    """Skew shape requested for a pair where the inner diagram is not inside the outer one."""
-
-
 class InvalidTruncation(TensormultError):
     """Series truncation bound is malformed."""
 

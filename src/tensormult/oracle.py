@@ -15,9 +15,9 @@ counts one weight vector without any product, row by row under the column
 sums still open, in a memo that lives for one call.
 
 These routines share no cache with the shift-operator path, and no code
-beyond `SparsePoly` arithmetic, the validation of degree lists
-(`occupancy.spin_tuple`) and the diagram helpers `partitions.partition`,
-`conjugate` and `is_partition`, so agreement is meaningful evidence.
+beyond the validation of degree lists (`occupancy.spin_tuple`) and the
+diagram helpers `partitions.partition`, `conjugate` and `is_partition`, so
+agreement is meaningful evidence.
 `kostka` and `sympoly.hook_schur` share one enumerator of strip removals,
 which the route does not use; the route multiplies no polynomials.
 """

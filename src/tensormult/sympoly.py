@@ -1,7 +1,8 @@
-"""Sparse multivariate polynomials over the integers, plus the symmetric
-polynomial constructions used by the character oracles: complete homogeneous,
-Schur (bialternant and tableau routes), skew Schur, Vandermonde, and hook
-Schur (peeled one letter at a time by vertical, then horizontal strips).
+"""Sparse multivariate polynomials over the integers, plus the two symmetric
+polynomial constructions the character oracles read: the Vandermonde
+determinant (the alternant's shifts) and hook Schur polynomials (peeled one
+letter at a time by vertical, then horizontal strips).  The shift route
+multiplies no polynomials and imports nothing from here.
 
 Coefficients are Python ints throughout, so all arithmetic is exact at any
 size.  Terms live in a dict keyed by exponent tuples; no operation depends on
@@ -17,7 +18,7 @@ from functools import cache
 from itertools import permutations
 from operator import mul
 
-from .errors import ArityMismatch, NotContained, TooManyRows
+from .errors import ArityMismatch
 from .partitions import partition, strip_removals, transpose
 
 
@@ -142,56 +143,6 @@ class SparsePoly:
         return "\n".join(lines)
 
 
-def divide_exact(num: SparsePoly, den: SparsePoly) -> SparsePoly:
-    """Exact quotient by iterated leading-term elimination under graded-lex order.
-
-    Raises ArithmeticError when the division leaves a remainder; the callers
-    here divide alternants by the Vandermonde determinant, which is always
-    exact.
-    """
-    num._check_arity(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    dlead = max(den.terms, key=_grlex)
-    dcoef = den.terms[dlead]
-    rem = dict(num.terms)
-    quot = {}
-    while rem:
-        lead = max(rem, key=_grlex)
-        qexp = tuple(a - b for a, b in zip(lead, dlead))
-        if any(e < 0 for e in qexp) or rem[lead] % dcoef:
-            raise ArithmeticError("polynomial division is not exact")
-        qcoef = rem[lead] // dcoef
-        quot[qexp] = quot.get(qexp, 0) + qcoef
-        for de, dc in den.terms.items():
-            e = tuple(a + b for a, b in zip(qexp, de))
-            val = rem.get(e, 0) - qcoef * dc
-            if val:
-                rem[e] = val
-            else:
-                rem.pop(e, None)
-    return SparsePoly(num.nvars, quot)
-
-
-def complete_homogeneous(degree: int, nvars: int) -> SparsePoly:
-    """Sum of every monomial of the given total degree: the one-row character."""
-    if degree < 0:
-        raise ValueError("negative degree")
-    terms = {}
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            terms[prefix + (remaining,)] = 1
-            return
-        for first in range(remaining + 1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    if nvars == 0:
-        return SparsePoly.one(0) if degree == 0 else SparsePoly.zero(0)
-    rec((), degree, nvars)
-    return SparsePoly(nvars, terms)
-
-
 def vandermonde(nvars: int) -> SparsePoly:
     """Product of (x_i - x_j) over i < j, expanded as the signed permutation sum."""
     return _alternant((), nvars)
@@ -222,81 +173,6 @@ def _alternant(lam, nvars) -> SparsePoly:
         for pos, i in enumerate(perm):
             expv[i] = shifted[pos]
         terms[tuple(expv)] = _perm_sign(perm)
-    return SparsePoly(nvars, terms)
-
-
-def schur(lam, nvars: int) -> SparsePoly:
-    """Schur polynomial via the bialternant ratio, divided exactly."""
-    lam = partition(lam)
-    if len(lam) > nvars:
-        raise TooManyRows(f"{lam} needs more than {nvars} variables")
-    if not lam:
-        return SparsePoly.one(nvars)
-    return divide_exact(_alternant(lam, nvars), vandermonde(nvars))
-
-
-def _ssyt_contents(outer, inner, nvars):
-    """Yield the content vector of every semistandard filling of outer/inner.
-
-    Rows weakly increase, columns strictly increase, entries in 1..nvars.
-    """
-    outer = tuple(outer)
-    inner = tuple(inner[i] if i < len(inner) else 0 for i in range(len(outer)))
-    cells = [
-        (i, j) for i in range(len(outer)) for j in range(inner[i], outer[i])
-    ]
-    if not cells:
-        yield (0,) * nvars
-        return
-    grid = {}
-    content = [0] * nvars
-
-    def rec(pos):
-        if pos == len(cells):
-            yield tuple(content)
-            return
-        i, j = cells[pos]
-        low = 1
-        if j > inner[i]:
-            low = grid[(i, j - 1)]
-        if i > 0 and inner[i - 1] <= j < outer[i - 1]:
-            low = max(low, grid[(i - 1, j)] + 1)
-        for val in range(low, nvars + 1):
-            grid[(i, j)] = val
-            content[val - 1] += 1
-            yield from rec(pos + 1)
-            content[val - 1] -= 1
-        grid.pop((i, j), None)
-
-    yield from rec(0)
-
-
-def schur_tableaux(lam, nvars: int) -> SparsePoly:
-    """Schur polynomial as the monomial sum over semistandard tableaux."""
-    lam = partition(lam)
-    if len(lam) > nvars:
-        raise TooManyRows(f"{lam} needs more than {nvars} variables")
-    terms = {}
-    for content in _ssyt_contents(lam, (), nvars):
-        terms[content] = terms.get(content, 0) + 1
-    return SparsePoly(nvars, terms)
-
-
-def contains(outer, inner) -> bool:
-    outer, inner = partition(outer), partition(inner)
-    return len(inner) <= len(outer) and all(
-        inner[i] <= outer[i] for i in range(len(inner))
-    )
-
-
-def skew_schur(lam, tau, nvars: int) -> SparsePoly:
-    """Skew Schur polynomial: monomial sum over semistandard fillings of lam/tau."""
-    lam, tau = partition(lam), partition(tau)
-    if not contains(lam, tau):
-        raise NotContained(f"{tau} is not contained in {lam}")
-    terms = {}
-    for content in _ssyt_contents(lam, tau, nvars):
-        terms[content] = terms.get(content, 0) + 1
     return SparsePoly(nvars, terms)
 
 

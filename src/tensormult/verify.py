@@ -3,10 +3,6 @@ checked against an independent one over parameter grids.  Each runner returns
 a list of violation records; an empty list means the suite passed.  The route
 sweeps read one `diffformula.table` per grid cell, as the CLI does; a diagram
 they enumerate, or an oracle key, without a row is a "no row" violation.
-
-The frozen tables at the bottom are published decompositions of the smallest
-hook algebras at six tensor factors; they double as regression anchors for
-the conjectural routes.
 """
 
 import random
@@ -296,107 +292,3 @@ SUITES = {
     "kostka": kostka_violations,
 }
 
-
-# Decomposition of the sixth power of the degree-one module for the smallest
-# hook shapes: weight vector -> (diagram, multiplicity).
-HOOK_21_TABLE = {
-    (0, 0): ((6,), 1),
-    (1, 0): ((5, 1), 5),
-    (2, 0): ((4, 2), 9),
-    (2, 1): ((4, 1, 1), 10),
-    (3, 0): ((3, 3), 5),
-    (3, 1): ((3, 2, 1), 16),
-    (3, 2): ((3, 1, 1, 1), 10),
-    (4, 2): ((2, 2, 1, 1), 9),
-    (4, 3): ((2, 1, 1, 1, 1), 5),
-    (5, 4): ((1, 1, 1, 1, 1, 1), 1),
-}
-
-HOOK_12_TABLE = {
-    (0, 0): ((6,), 1),
-    (1, 0): ((5, 1), 5),
-    (2, 0): ((4, 1, 1), 10),
-    (2, 1): ((4, 2), 9),
-    (3, 0): ((3, 1, 1, 1), 10),
-    (3, 1): ((3, 2, 1), 16),
-    (4, 0): ((2, 1, 1, 1, 1), 5),
-    (4, 1): ((2, 2, 1, 1), 9),
-    (4, 2): ((2, 2, 2), 5),
-    (6, 6): ((1, 1, 1, 1, 1, 1), 1),
-}
-
-# Restrictions of the same sixth power to the three proper subalgebras of the
-# (2, 1) hook algebra: weight vector -> (sub-diagram, multiplicity).
-EVEN_PAIR_TABLE = {
-    (0, 0): ((6,), 1),
-    (1, 0): ((5, 1), 5),
-    (1, 1): ((5,), 6),
-    (2, 0): ((4, 2), 9),
-    (2, 1): ((4, 1), 24),
-    (2, 2): ((4,), 15),
-    (3, 0): ((3, 3), 5),
-    (3, 1): ((3, 2), 30),
-    (3, 2): ((3, 1), 45),
-    (3, 3): ((3,), 20),
-    (4, 2): ((2, 2), 30),
-    (4, 3): ((2, 1), 40),
-    (4, 4): ((2,), 15),
-    (5, 4): ((1, 1), 15),
-    (5, 5): ((1,), 6),
-    (6, 6): ((), 1),
-}
-
-ODD_TAIL_TABLE = {
-    (0, 0): ((), 1),
-    (1, 0): ((1,), 6),
-    (2, 0): ((2,), 15),
-    (2, 1): ((1, 1), 15),
-    (3, 0): ((3,), 20),
-    (3, 1): ((2, 1), 40),
-    (3, 2): ((1, 1, 1), 20),
-    (4, 0): ((4,), 15),
-    (4, 1): ((3, 1), 45),
-    (4, 2): ((2, 1, 1), 45),
-    (4, 3): ((1, 1, 1, 1), 15),
-    (5, 0): ((5,), 6),
-    (5, 1): ((4, 1), 24),
-    (5, 2): ((3, 1, 1), 36),
-    (5, 3): ((2, 1, 1, 1), 24),
-    (5, 4): ((1, 1, 1, 1, 1), 6),
-    (6, 0): ((6,), 1),
-    (6, 1): ((5, 1), 5),
-    (6, 2): ((4, 1, 1), 10),
-    (6, 3): ((3, 1, 1, 1), 10),
-    (6, 4): ((2, 1, 1, 1, 1), 5),
-    (6, 5): ((1, 1, 1, 1, 1, 1), 1),
-}
-
-ODD_SPAN_TABLE = {
-    (0, 0): ((6,), 1),
-    (1, 0): ((5,), 6),
-    (1, 1): ((5, 1), 5),
-    (2, 0): ((4,), 15),
-    (2, 1): ((4, 1), 24),
-    (2, 2): ((4, 1, 1), 10),
-    (3, 0): ((3,), 20),
-    (3, 1): ((3, 1), 45),
-    (3, 2): ((3, 1, 1), 36),
-    (3, 3): ((3, 1, 1, 1), 10),
-    (4, 0): ((2,), 15),
-    (4, 1): ((2, 1), 40),
-    (4, 2): ((2, 1, 1), 45),
-    (4, 3): ((2, 1, 1, 1), 24),
-    (4, 4): ((2, 1, 1, 1, 1), 5),
-    (5, 0): ((1,), 6),
-    (5, 1): ((1, 1), 15),
-    (5, 2): ((1, 1, 1), 20),
-    (5, 3): ((1, 1, 1, 1), 15),
-    (5, 4): ((1, 1, 1, 1, 1), 6),
-    (5, 5): ((1, 1, 1, 1, 1, 1), 1),
-    (6, 0): ((), 1),
-}
-
-# The three proper subalgebras of the (2, 1) hook algebra, by positive root.
-SUB_EVEN = SuperRootSubset((2, 1), ((1, 2),))
-SUB_ODD_TAIL = SuperRootSubset((2, 1), ((2, 3),))
-SUB_ODD_SPAN = SuperRootSubset((2, 1), ((1, 3),))

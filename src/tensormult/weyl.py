@@ -15,7 +15,9 @@ by the odd factors (see `diffformula`).  The `weyl_denominator_*` functions
 list denominators as signed expansions: with odd roots the alternating
 series is truncated to a per-variable bound (shifts beyond the bound
 annihilate the zero-extended counts, so a bound equal to the queried weight
-vector loses nothing).
+vector loses nothing).  A listing is plain (coefficient, shift) pairs: the
+module imports nothing from `sympoly`, so the route shares no code with the
+polynomial oracles.
 """
 
 from functools import cache
@@ -24,7 +26,6 @@ from math import comb, factorial, prod
 from operator import itemgetter
 
 from .errors import InvalidTruncation, NotClosed
-from .sympoly import SparsePoly
 
 
 class _Frozen:
@@ -67,9 +68,6 @@ class SignedExpansion(_Frozen):
 
     def __len__(self):
         return len(self.terms)
-
-    def as_poly(self) -> SparsePoly:
-        return SparsePoly(self.rank, {shift: coeff for coeff, shift in self.terms})
 
 
 def _expand(factors, rank: int, bound=None) -> SignedExpansion:

@@ -11,15 +11,11 @@ import time
 from contextlib import contextmanager
 from math import comb
 
+import reference
 from tensormult import verify
-from tensormult.diffformula import (
-    even_branching_multiplicity,
-    super_branching_multiplicity_from_m,
-    super_multiplicity,
-    super_multiplicity_from_m,
-)
+from tensormult.diffformula import even_branching_multiplicity, multiplicities
 from tensormult.occupancy import (
-    occupancy_coefficient,
+    hook_spins,
     standard_m_vectors,
     super_occupancy_table,
 )
@@ -28,7 +24,9 @@ from tensormult.partitions import (
     conjugate,
     hook_from_super_m,
     partitions_of,
+    super_m_from_hook,
 )
+from tensormult.weyl import hook_algebra
 
 
 @contextmanager
@@ -42,17 +40,15 @@ def budget(number, limit_seconds):
 
 def test_criterion_01_hook_21_table():
     with budget(1, 1.0):
-        for m_vec, (lam, mu) in verify.HOOK_21_TABLE.items():
+        table = reference.HOOK_21_TABLE
+        for m_vec, (lam, _) in table.items():
             assert hook_from_super_m(m_vec, 6, (2, 1)) == lam
-            assert super_multiplicity_from_m(m_vec, 1, 6, (2, 1)) == mu
+        sub, spins = hook_algebra((2, 1)), hook_spins(1, 6)
+        assert multiplicities(sub, list(table), spins) == [mu for _, mu in table.values()]
         # and no other diagram appears
-        total = sum(
-            mu
-            for m_vec in standard_m_vectors(2, 6)
-            for mu in [super_multiplicity_from_m(m_vec, 1, 6, (2, 1))]
-            if _labels(m_vec, (2, 1))
-        )
-        assert total == sum(mu for _, mu in verify.HOOK_21_TABLE.values())
+        labelled = [m_vec for m_vec in standard_m_vectors(2, 6) if _labels(m_vec, (2, 1))]
+        total = sum(multiplicities(sub, labelled, spins))
+        assert total == sum(mu for _, mu in table.values())
 
 
 def _labels(m_vec, shape):
@@ -65,27 +61,29 @@ def _labels(m_vec, shape):
 
 def test_criterion_02_hook_12_table_and_duality():
     with budget(2, 1.0):
-        for m_vec, (lam, mu) in verify.HOOK_12_TABLE.items():
-            assert super_multiplicity_from_m(m_vec, 1, 6, (1, 2)) == mu
-            # mirror of the (2, 1) decomposition under diagram conjugation
-            assert super_multiplicity(conjugate(lam), 1, 6, (2, 1)) == mu
-        assert verify.HOOK_12_TABLE[(4, 2)] == ((2, 2, 2), 5)
+        table = reference.HOOK_12_TABLE
+        mus = [mu for _, mu in table.values()]
+        assert multiplicities(hook_algebra((1, 2)), list(table), hook_spins(1, 6)) == mus
+        # mirror of the (2, 1) decomposition under diagram conjugation
+        mirrored = [super_m_from_hook(conjugate(lam), 6, (2, 1)) for lam, _ in table.values()]
+        assert multiplicities(hook_algebra((2, 1)), mirrored, hook_spins(1, 6)) == mus
+        assert table[(4, 2)] == ((2, 2, 2), 5)
 
 
 def test_criterion_03_branching_tables():
     with budget(3, 5.0):
         cases = (
-            (verify.SUB_EVEN, verify.EVEN_PAIR_TABLE),
-            (verify.SUB_ODD_TAIL, verify.ODD_TAIL_TABLE),
-            (verify.SUB_ODD_SPAN, verify.ODD_SPAN_TABLE),
+            (reference.SUB_EVEN, reference.EVEN_PAIR_TABLE),
+            (reference.SUB_ODD_TAIL, reference.ODD_TAIL_TABLE),
+            (reference.SUB_ODD_SPAN, reference.ODD_SPAN_TABLE),
         )
         assert [len(t) for _, t in cases] == [16, 22, 22]
         for sub, table in cases:
-            for m_vec, (_, mu) in table.items():
-                assert super_branching_multiplicity_from_m(m_vec, sub, 1, 6) == mu
-        assert verify.EVEN_PAIR_TABLE[(3, 2)] == ((3, 1), 45)
-        assert verify.ODD_TAIL_TABLE[(5, 2)] == ((3, 1, 1), 36)
-        assert verify.ODD_SPAN_TABLE[(3, 1)] == ((3, 1), 45)
+            mus = [mu for _, mu in table.values()]
+            assert multiplicities(sub, list(table), hook_spins(1, 6)) == mus
+        assert reference.EVEN_PAIR_TABLE[(3, 2)] == ((3, 1), 45)
+        assert reference.ODD_TAIL_TABLE[(5, 2)] == ((3, 1, 1), 36)
+        assert reference.ODD_SPAN_TABLE[(3, 1)] == ((3, 1), 45)
 
 
 def test_criterion_04_difference_formula_vs_oracles():
@@ -125,28 +123,31 @@ def test_criterion_09_smallest_hooks_closed_forms():
         for two_s in (1, 2):
             for nsites in range(1, 21):
                 total = two_s * nsites
-                for m in range(total):
-                    lam = (total - m,) + (1,) * m
-                    expected = sum(
-                        (-1) ** i * comb(nsites, m - i) for i in range(m + 1)
-                    )
-                    assert super_multiplicity(lam, two_s, nsites, (1, 1)) == expected
+                vectors = [
+                    super_m_from_hook((total - m,) + (1,) * m, total, (1, 1)) for m in range(total)
+                ]
+                expected = [
+                    sum((-1) ** i * comb(nsites, m - i) for i in range(m + 1))
+                    for m in range(total)
+                ]
+                spins = hook_spins(two_s, nsites)
+                assert multiplicities(hook_algebra((1, 1)), vectors, spins) == expected
         # a 1,200-step alternating sum, deeper than Python's default recursion
         # limit; the sum telescopes to C(nsites - 1, m)
         nsites, m = 1500, 1200
-        lam = (nsites - m,) + (1,) * m
-        assert super_multiplicity(lam, 1, nsites, (1, 1)) == comb(1499, 1200)
+        m_vec = super_m_from_hook((nsites - m,) + (1,) * m, nsites, (1, 1))
+        spins = hook_spins(1, nsites)
+        assert multiplicities(hook_algebra((1, 1)), [m_vec], spins) == [comb(1499, 1200)]
         # (2, 1) shape: truncated series equals the two-product closed form
         for nsites in range(1, 11):
-            for m1 in range(nsites + 1):
-                for m2 in range(m1 + 1):
-                    closed = _bino(nsites, m1) * _bino(m1 - 1, m2) - _bino(
-                        nsites, m1 - m2 - 1
-                    ) * _bino(nsites - m1 + m2, m2)
-                    assert (
-                        super_multiplicity_from_m((m1, m2), 1, nsites, (2, 1))
-                        == closed
-                    )
+            vectors = [(m1, m2) for m1 in range(nsites + 1) for m2 in range(m1 + 1)]
+            closed = [
+                _bino(nsites, m1) * _bino(m1 - 1, m2)
+                - _bino(nsites, m1 - m2 - 1) * _bino(nsites - m1 + m2, m2)
+                for m1, m2 in vectors
+            ]
+            spins = hook_spins(1, nsites)
+            assert multiplicities(hook_algebra((2, 1)), vectors, spins) == closed
 
 
 def _bino(n, k):

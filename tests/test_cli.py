@@ -421,7 +421,7 @@ def test_checks_enumerate_no_tableaux(capsys, monkeypatch):
 
     for module, name in (
         (oracle_mod, "hook_schur_expansion"), (oracle_mod, "hook_schur"),
-        (sympoly_mod, "hook_schur"), (sympoly_mod, "_ssyt_contents"),
+        (sympoly_mod, "hook_schur"),
     ):
         monkeypatch.setattr(module, name, refuse)
     for argv in (
@@ -500,7 +500,7 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
         ["multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "6", "--table", "--check"],
         ["super", "--shape", "2,1", "--twoS", "1", "--L", "6", "--table", "--check"],
     )
-    route = cli_mod.diffformula._group_sums
+    route = cli_mod.diffformula.multiplicities
 
     def reads_zero_at_3_1(sub, m_vecs, spins):
         m_vecs = list(m_vecs)
@@ -509,7 +509,7 @@ def test_check_mismatch_exits_three(capsys, monkeypatch):
 
     with monkeypatch.context() as patch:
         # a route that reads 0 keeps its row, which then disagrees with the oracle
-        patch.setattr(cli_mod.diffformula, "_group_sums", reads_zero_at_3_1)
+        patch.setattr(cli_mod.diffformula, "multiplicities", reads_zero_at_3_1)
         for argv in tables:
             status, out = run_cli(capsys, *argv)
             assert status == 3

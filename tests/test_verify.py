@@ -53,7 +53,7 @@ def test_sweeps_catch_a_corrupted_monomial_count(monkeypatch):
 def test_route_sweeps_catch_a_wrong_route(monkeypatch):
     # the default sweeps make one route call per grid cell: 287 calls
     # carrying 3,284 weight vectors
-    route = diffformula_mod._group_sums
+    route = diffformula_mod.multiplicities
     calls, vectors = Counter(), Counter()
     suite = None
 
@@ -62,7 +62,7 @@ def test_route_sweeps_catch_a_wrong_route(monkeypatch):
         vectors[suite] += len(m_vecs)
         return route(sub, m_vecs, spins)
 
-    monkeypatch.setattr(diffformula_mod, "_group_sums", counted)
+    monkeypatch.setattr(diffformula_mod, "multiplicities", counted)
     for suite in ROUTE_SWEEPS:
         assert verify.run_suite(suite) == [], suite
     cells = {"rank-one": 72, "tensor": 72, "pieri": 63, "hooklength": 32, "super": 48}
@@ -75,14 +75,14 @@ def test_route_sweeps_catch_a_wrong_route(monkeypatch):
         return values
 
     # one value off per call: one violation per cell, each a compared row
-    monkeypatch.setattr(diffformula_mod, "_group_sums", one_off)
+    monkeypatch.setattr(diffformula_mod, "multiplicities", one_off)
     for suite in ROUTE_SWEEPS:
         violations = verify.run_suite(suite)
         assert len(violations) == cells[suite], suite
         assert all("mu" in v for v in violations), suite
 
     # a table that drops its last row: the completeness check names its diagram
-    monkeypatch.setattr(diffformula_mod, "_group_sums", route)
+    monkeypatch.setattr(diffformula_mod, "multiplicities", route)
     table = diffformula_mod.table
     monkeypatch.setattr(diffformula_mod, "table", lambda sub, spins: table(sub, spins)[:-1])
     for suite in ROUTE_SWEEPS:
