@@ -18,6 +18,7 @@ from .errors import (
     TooManyRows,
 )
 from .occupancy import (
+    hook_spins,
     occupancy_coefficient,
     occupancy_table,
     standard_m_vectors,
@@ -28,7 +29,7 @@ from .oracle import (
     hook_length_dimension,
     hook_schur_expansion,
     kostka,
-    matrix_count,
+    matrix_counts,
     pieri_expansion,
     schur_expansion,
     schur_expansion_pieri,
@@ -48,6 +49,8 @@ from .weyl import (
     SignedExpansion,
     SuperRootSubset,
     close_root_subset,
+    full_subalgebra,
+    hook_algebra,
     weyl_denominator_ar,
     weyl_denominator_subalgebra,
     weyl_denominator_super,

@@ -330,20 +330,20 @@ def cmd_occupancy(args, out) -> int:
     return EXIT_OK
 
 
-# per-suite names of the grid caps settable from the command line; a cap that
-# no suite of the run takes is refused rather than ignored
+# the grid caps each suite takes from the command line; a cap that no suite
+# of the run takes is refused rather than ignored
 _SUITE_PARAMS = {
-    "backends": {"r": "rank_max", "twoS": "two_s_max", "L": "nsites_max"},
-    "symmetry": {"r": "rank_max", "twoS": "two_s_max", "L": "nsites_max"},
-    "rank-one": {"twoS": "two_s_max", "L": "nsites_max"},
-    "tensor": {"r": "ranks", "twoS": "two_s_values", "L": "nsites_values"},
-    "pieri": {"r": "rank_max", "twoS": "two_s_prime_max"},
-    "hooklength": {"r": "rank_max", "L": "nsites_max"},
-    "super": {"twoS": "two_s_values", "L": "nsites_max"},
-    "kostka": {"r": "rank_max", "twoS": "two_s_max", "L": "nsites_max"},
+    "backends": {"r", "twoS", "L"},
+    "symmetry": {"r", "twoS", "L"},
+    "rank-one": {"twoS", "L"},
+    "tensor": {"r", "twoS", "L"},
+    "pieri": {"r", "twoS"},
+    "hooklength": {"r", "L"},
+    "super": {"twoS", "L"},
+    "kostka": {"r", "twoS", "L"},
 }
-
-_GRID_PARAMS = {"ranks", "two_s_values", "nsites_values"}
+# the keyword each cap sets, the same in every suite
+_CAP_PARAMS = {"r": "rank_max", "twoS": "two_s_max", "L": "nsites_max"}
 
 # suites whose --r reaches an alternant or the route: a rank-r grid expands a
 # Vandermonde or walks a Weyl group of order (r + 1)!
@@ -363,11 +363,7 @@ def cmd_verify(args, out) -> int:
         weyl_order((range(caps["r"] + 1),))
     failed = False
     for name in names:
-        overrides = {
-            param: tuple(range(1, caps[key] + 1)) if param in _GRID_PARAMS else caps[key]
-            for key, param in _SUITE_PARAMS[name].items()
-            if key in caps
-        }
+        overrides = {_CAP_PARAMS[key]: caps[key] for key in _SUITE_PARAMS[name] & caps.keys()}
         violations = verify.run_suite(name, **overrides)
         out.write(f"{name}: {len(violations)} violations\n")
         if violations:

@@ -23,8 +23,9 @@ chambers at or below that one, and returns the one count; the capped counts
 never leave this module.  Every read zero-extends: exponents that are
 negative, or that the store never reaches, count zero, so signed shift sums
 are total functions.  The independent checks of these counts are
-`oracle.monomial_counts` (a whole store) and `oracle.matrix_count` (a point
-read), which share no code or cache with this module.
+`oracle.monomial_counts` (a whole store) and `oracle.matrix_counts` (listed
+weight vectors of one degree list), which share no code or cache with this
+module.
 """
 
 from collections.abc import Mapping

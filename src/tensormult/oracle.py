@@ -1,18 +1,21 @@
 """Independent ground-truth computations for cross-validating the shift-sum
 results: alternant coefficient extraction, the Pieri fold cut to a hook (the
-oracle of every `--check`), greedy hook-character decomposition (the fold's
-witness), semistandard tableau counts, hook-length and Weyl dimensions, and
-occupancy counts, as a whole table (`monomial_counts`) and one weight vector
-at a time as matrix counts (`matrix_count`).
+oracle of every `--check`), greedy hook-character decomposition, semistandard
+tableau counts, hook-length and Weyl dimensions, and occupancy counts, as a
+whole table (`monomial_counts`) and at listed weight vectors as matrix counts
+(`matrix_counts`).
 
 One product of one-row characters, `monomial_counts`, backs every
 whole-table oracle: the verify sweeps over whole grid cells (the `backends`
 table half, `symmetry`, `rank-one`) read its counts, the alternant
 (`schur_expansion`) reads each multiplicity off it through the Vandermonde's
-terms, and the greedy witness starts its residual from a copy of it.  It
-keeps its latest product and extends it factor by factor.  `matrix_count`
-counts one weight vector without any product, row by row under the column
-sums still open, in a memo that lives for one call.
+terms, and the `super` suite checks the fold against it, recomposed through
+hook Schur polynomials.  It keeps its latest product and extends it factor
+by factor.  `matrix_counts` counts listed weight vectors of one degree list
+without any product, row by row under the column sums still open, in one
+memo that lives for one call.  The greedy decomposition
+(`hook_schur_expansion`) expands each hook Schur polynomial it meets in
+full; only the benchmark's traced layers run it.
 
 These routines share no cache with the shift-operator path, and no code
 beyond the validation of degree lists (`occupancy.spin_tuple`) and the
@@ -72,7 +75,7 @@ def monomial_counts(spins, shape: tuple[int, int]) -> Mapping[tuple[int, ...], i
     n = 0 the complete homogeneous h_d in m variables), built here factor by
     factor: the count at every weight vector of the degree list at once,
     keyed by the exponents (total - M_1, M_1 - M_2, ..., M_r), where
-    `matrix_count` counts one weight vector.  Exponent vectors the table
+    `matrix_counts` counts listed weight vectors.  Exponent vectors the table
     lacks, negative ones included, count zero.  A degree list that extends
     the latest one in the same shape multiplies in only its new factors; any
     other starts again from 1.
@@ -88,36 +91,45 @@ def monomial_counts(spins, shape: tuple[int, int]) -> Mapping[tuple[int, ...], i
     return MappingProxyType(poly.terms)
 
 
-def matrix_count(m_vec, spins, shape: tuple[int, int]) -> int:
-    """Occupancy count at a weight vector, counted as matrices.
+def matrix_counts(m_vecs, spins, shape: tuple[int, int]) -> list[int]:
+    """Occupancy counts at weight vectors of one degree list, counted as
+    matrices.
 
-    The count is the number of site-by-variable matrices of nonnegative
-    integers whose row sums are the site degrees and whose column sums are
-    the exponents (total - M_1, M_1 - M_2, ..., M_r) of the weight; in hook
-    variables of shape (m, n) the last n columns hold 0 or 1.  The ordinary
-    rank-r count is the shape (r + 1, 0).  Weights with a negative exponent
-    count zero.
+    The count at a weight vector is the number of site-by-variable matrices
+    of nonnegative integers whose row sums are the site degrees and whose
+    column sums are the exponents (total - M_1, M_1 - M_2, ..., M_r) of the
+    weight; in hook variables of shape (m, n) the last n columns hold 0 or 1.
+    The ordinary rank-r count is the shape (r + 1, 0).  Weights with a
+    negative exponent count zero.  The counts of one call share one memo of
+    subcounts, keyed by the site reached and the column sums still open: a
+    subcount so keyed does not depend on the weight it was reached from.
+    The memo dies with the call.
     """
     spins = spin_tuple(spins)
     m, n = shape
-    m_vec = tuple(m_vec)
-    if len(m_vec) != m + n - 1:
-        raise ValueError(f"expected {m + n - 1} entries for shape {shape}")
-    chain = (sum(spins),) + m_vec + (0,)
-    columns = tuple(map(sub, chain, chain[1:]))
-    if min(columns) < 0:
-        return 0
-    if len(spins) < 2:
-        # the last row takes exactly the column sums that remain
-        return int(max(columns[m:], default=0) <= 1)
-    return _count_rows(0, columns, spins, m, {}, {})
+    counts, lists = {}, {}
+
+    def count(m_vec):
+        m_vec = tuple(m_vec)
+        if len(m_vec) != m + n - 1:
+            raise ValueError(f"expected {m + n - 1} entries for shape {shape}")
+        chain = (sum(spins),) + m_vec + (0,)
+        columns = tuple(map(sub, chain, chain[1:]))
+        if min(columns) < 0:
+            return 0
+        if len(spins) < 2:
+            # the last row takes exactly the column sums that remain
+            return int(max(columns[m:], default=0) <= 1)
+        return _count_rows(0, columns, spins, m, counts, lists)
+
+    return [count(m_vec) for m_vec in m_vecs]
 
 
 def _count_rows(site, columns, spins, evens: int, counts: dict, lists: dict) -> int:
     """Matrices with the row degrees spins[site:], at least two, and the
     column sums columns, which have the same total; the columns after the
     first `evens` hold 0 or 1.  Each count is kept in `counts` by (site,
-    columns), and `counts` and `lists` live for one `matrix_count` call."""
+    columns), and `counts` and `lists` live for one `matrix_counts` call."""
     count = counts.get((site, columns))
     if count is None:
         rows = _rows(spins[site], columns, evens, lists)
@@ -238,8 +250,8 @@ def hook_schur_expansion(
 ) -> dict[tuple[int, ...], int]:
     """Greedy decomposition of a hook-character power into hook characters.
 
-    The witness for the hook cut of `pieri_expansion`; it expands each hook
-    Schur polynomial it meets in full, so no command calls it.
+    It expands each hook Schur polynomial it meets in full, so no command
+    calls it.
 
     Repeatedly takes the surviving monomial that is maximal by total degree in
     the first m variables, then lexicographically; that monomial is the

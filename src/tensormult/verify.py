@@ -3,15 +3,22 @@ checked against an independent one over parameter grids.  Each runner returns
 a list of violation records; an empty list means the suite passed.  The route
 sweeps read one `diffformula.table` per grid cell, as the CLI does; a diagram
 they enumerate, or an oracle key, without a row is a "no row" violation.
+A suite's grid caps are `rank_max`, `two_s_max` and `nsites_max`, those it takes.
 """
 
 import random
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import sub
 
 from . import diffformula, occupancy, oracle
 from .partitions import hook_partitions_of, m_from_lambda, partitions_of
+from .sympoly import SparsePoly, hook_schur
 from .weyl import SuperRootSubset, full_subalgebra, hook_algebra
+
+
+def _grid(*caps):
+    """Every point with coordinates 1..cap, one per cap, the last fastest."""
+    return product(*(range(1, cap + 1) for cap in caps))
 
 
 def store_oracle_violations(
@@ -27,24 +34,21 @@ def store_oracle_violations(
     weight vector of each cell: every monomial is one, at the exponents
     (total - M_1, M_1 - M_2, ..., M_r).  The point half checks the pull
     capped at each read (`occupancy_coefficient`) against the matrix count
-    (`oracle.matrix_count`) at random points with mixed degrees."""
+    (`oracle.matrix_counts`) at random points with mixed degrees, one call
+    per point, as each point has its own degree list."""
     violations = []
-    for rank in range(1, rank_max + 1):
-        for two_s in range(1, two_s_max + 1):
-            for nsites in range(1, nsites_max + 1):
-                spins = (two_s,) * nsites
-                store = occupancy.occupancy_table(spins, rank)
-                counted = {
-                    # M_a is the sum of the exponents from position a on
-                    tuple(accumulate(expv[:0:-1]))[::-1]: count
-                    for expv, count in oracle.monomial_counts(spins, (rank + 1, 0)).items()
-                }
-                if store != counted:
-                    diff = set(store.items()) ^ set(counted.items())
-                    violations.append(
-                        {"rank": rank, "twoS": two_s, "L": nsites,
-                         "kind": "table", "diff": sorted(diff)[:3]}
-                    )
+    for rank, two_s, nsites in _grid(rank_max, two_s_max, nsites_max):
+        spins = (two_s,) * nsites
+        store = occupancy.occupancy_table(spins, rank)
+        counted = {
+            # M_a is the sum of the exponents from position a on
+            tuple(accumulate(expv[:0:-1]))[::-1]: count
+            for expv, count in oracle.monomial_counts(spins, (rank + 1, 0)).items()
+        }
+        if store != counted:
+            diff = set(store.items()) ^ set(counted.items())
+            violations.append({"rank": rank, "twoS": two_s, "L": nsites,
+                               "kind": "table", "diff": sorted(diff)[:3]})
     rng = random.Random(seed)
     for _ in range(samples):
         rank = rng.randint(1, 4)
@@ -55,7 +59,7 @@ def store_oracle_violations(
             sorted((rng.randint(-2, total + 2) for _ in range(rank)), reverse=True)
         )
         stored = occupancy.occupancy_coefficient(m_vec, spins)
-        counted = oracle.matrix_count(m_vec, spins, (rank + 1, 0))
+        [counted] = oracle.matrix_counts([m_vec], spins, (rank + 1, 0))
         if stored != counted:
             violations.append(
                 {"rank": rank, "spins": spins, "M": m_vec, "kind": "point",
@@ -108,12 +112,10 @@ def symmetry_violations(
 ) -> list[dict]:
     """Adjacent-swap identity suite over the full default grid."""
     violations = []
-    for rank in range(1, rank_max + 1):
-        for two_s in range(1, two_s_max + 1):
-            for nsites in range(1, nsites_max + 1):
-                for record in swap_violations((two_s,) * nsites, rank):
-                    record.update({"rank": rank, "twoS": two_s, "L": nsites})
-                    violations.append(record)
+    for rank, two_s, nsites in _grid(rank_max, two_s_max, nsites_max):
+        for record in swap_violations((two_s,) * nsites, rank):
+            record.update({"rank": rank, "twoS": two_s, "L": nsites})
+            violations.append(record)
     return violations
 
 
@@ -136,140 +138,120 @@ def rank_one_violations(two_s_max: int = 6, nsites_max: int = 12) -> list[dict]:
     x_1^(total - M) x_2^M, and the diagram (total - M, M) has M <= total / 2.
     """
     violations = []
-    for two_s in range(1, two_s_max + 1):
-        for nsites in range(1, nsites_max + 1):
-            total = two_s * nsites
-            spins = (two_s,) * nsites
-            product = oracle.monomial_counts(spins, (2, 0))
-            counts = {m: product.get((total - m, m), 0) for m in range(-1, total + 1)}
-            cell = {"twoS": two_s, "L": nsites}
-            violations += [{**cell, "M": m, "kind": "palindrome"}
-                           for m in range(total + 1) if counts[m] != counts[total - m]]
-            labels = partitions_of(total, max_rows=2)
-            for lam, mu in _route_rows(full_subalgebra(1), spins, labels, cell, violations):
-                m = total - lam[0]
-                expected = counts[m] - counts[m - 1]
-                if mu != expected:
-                    violations.append(
-                        {**cell, "M": m, "kind": "difference",
-                         "mu": str(mu), "expected": str(expected)}
-                    )
+    for two_s, nsites in _grid(two_s_max, nsites_max):
+        total = two_s * nsites
+        spins = (two_s,) * nsites
+        monomials = oracle.monomial_counts(spins, (2, 0))
+        counts = {m: monomials.get((total - m, m), 0) for m in range(-1, total + 1)}
+        cell = {"twoS": two_s, "L": nsites}
+        violations += [{**cell, "M": m, "kind": "palindrome"}
+                       for m in range(total + 1) if counts[m] != counts[total - m]]
+        labels = partitions_of(total, max_rows=2)
+        for lam, mu in _route_rows(full_subalgebra(1), spins, labels, cell, violations):
+            m = total - lam[0]
+            expected = counts[m] - counts[m - 1]
+            if mu != expected:
+                violations.append({**cell, "M": m, "kind": "difference",
+                                   "mu": str(mu), "expected": str(expected)})
     return violations
 
 
 def tensor_sweep_violations(
-    ranks=(1, 2, 3), two_s_values=(1, 2, 3, 4), nsites_values=(1, 2, 3, 4, 5, 6)
+    rank_max: int = 3, two_s_max: int = 4, nsites_max: int = 6
 ) -> list[dict]:
     """Shift route vs alternant oracle vs insertion oracle, exhaustively."""
     violations = []
-    for rank in ranks:
-        for two_s in two_s_values:
-            for nsites in nsites_values:
-                spins = (two_s,) * nsites
-                van = oracle.schur_expansion(spins, rank)
-                pieri = oracle.schur_expansion_pieri(spins, rank)
-                cell = {"rank": rank, "twoS": two_s, "L": nsites}
-                if van != pieri:
-                    violations.append({**cell, "kind": "oracles"})
-                labels = [*partitions_of(two_s * nsites, max_rows=rank + 1), *van]
-                for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
-                    expected = van.get(lam, 0)
-                    if mu != expected or mu < 0:
-                        violations.append(
-                            {**cell, "lambda": lam, "mu": str(mu), "oracle": str(expected)}
-                        )
+    for rank, two_s, nsites in _grid(rank_max, two_s_max, nsites_max):
+        spins = (two_s,) * nsites
+        van = oracle.schur_expansion(spins, rank)
+        pieri = oracle.schur_expansion_pieri(spins, rank)
+        cell = {"rank": rank, "twoS": two_s, "L": nsites}
+        if van != pieri:
+            violations.append({**cell, "kind": "oracles"})
+        labels = [*partitions_of(two_s * nsites, max_rows=rank + 1), *van]
+        for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
+            expected = van.get(lam, 0)
+            if mu != expected or mu < 0:
+                violations.append({**cell, "lambda": lam, "mu": str(mu), "oracle": str(expected)})
     return violations
 
 
-def pieri_pair_violations(two_s_prime_max: int = 6, rank_max: int = 3) -> list[dict]:
+def pieri_pair_violations(two_s_max: int = 6, rank_max: int = 3) -> list[dict]:
     """Two-factor products: multiplicity one exactly on the strip family.
 
     For degrees (2s', 2s) with 2s <= 2s', the nonzero diagrams are
     (2s'+2s-k, k) for k = 0..2s, each with multiplicity one.
     """
     violations = []
-    for rank in range(1, rank_max + 1):
-        for two_sp in range(1, two_s_prime_max + 1):
-            for two_s in range(1, two_sp + 1):
-                spins = (two_sp, two_s)
-                allowed = {
-                    (two_sp + two_s - k, k) if k else (two_sp + two_s,)
-                    for k in range(two_s + 1)
-                }
-                cell = {"rank": rank, "degrees": spins}
-                labels = [*partitions_of(two_sp + two_s, max_rows=rank + 1), *allowed]
-                for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
-                    expected = 1 if lam in allowed else 0
-                    if mu != expected:
-                        violations.append(
-                            {**cell, "lambda": lam, "mu": str(mu), "expected": expected}
-                        )
+    for rank, two_sp in _grid(rank_max, two_s_max):
+        for two_s in range(1, two_sp + 1):
+            spins = (two_sp, two_s)
+            allowed = {(two_sp + two_s - k, k) if k else (two_sp + two_s,)
+                       for k in range(two_s + 1)}
+            cell = {"rank": rank, "degrees": spins}
+            labels = [*partitions_of(two_sp + two_s, max_rows=rank + 1), *allowed]
+            for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
+                expected = 1 if lam in allowed else 0
+                if mu != expected:
+                    violations.append({**cell, "lambda": lam, "mu": str(mu), "expected": expected})
     return violations
 
 
 def hook_length_violations(rank_max: int = 4, nsites_max: int = 8) -> list[dict]:
     """Degree-one factors: multiplicity equals the standard tableau count."""
     violations = []
-    for rank in range(1, rank_max + 1):
-        for nsites in range(1, nsites_max + 1):
-            spins = (1,) * nsites
-            cell = {"rank": rank, "L": nsites}
-            labels = partitions_of(nsites, max_rows=rank + 1)
-            for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
-                dim = oracle.hook_length_dimension(lam, nsites)
-                if mu != dim:
-                    violations.append({**cell, "lambda": lam, "mu": str(mu), "dim": str(dim)})
+    for rank, nsites in _grid(rank_max, nsites_max):
+        spins = (1,) * nsites
+        cell = {"rank": rank, "L": nsites}
+        labels = partitions_of(nsites, max_rows=rank + 1)
+        for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
+            dim = oracle.hook_length_dimension(lam, nsites)
+            if mu != dim:
+                violations.append({**cell, "lambda": lam, "mu": str(mu), "dim": str(dim)})
     return violations
 
 
 def super_conjecture_violations(
-    shapes=((1, 1), (2, 1), (1, 2), (2, 2)),
-    two_s_values=(1, 2),
-    nsites_max: int = 6,
+    shapes=((1, 1), (2, 1), (1, 2), (2, 2)), two_s_max: int = 2, nsites_max: int = 6
 ) -> list[dict]:
     """Conjectured hook shift route against the Pieri fold (the `super --check`
-    oracle), and the fold against the greedy decomposition, its witness."""
+    oracle), and the fold against its witness: every fold diagram must lie
+    inside the hook, and sum fold(lam) * hs_lam must be the product of one-row
+    characters, which only the true expansion gives, as the hs_lam inside the
+    hook are linearly independent (Berele-Regev 1987; Macdonald I.5)."""
     violations = []
     for shape in shapes:
-        for two_s in two_s_values:
-            for nsites in range(1, nsites_max + 1):
-                spins = (two_s,) * nsites
-                expected = oracle.pieri_expansion(spins, shape)
-                cell = {"shape": shape, "twoS": two_s, "L": nsites}
-                if expected != oracle.hook_schur_expansion(two_s, nsites, shape):
-                    violations.append({**cell, "kind": "oracles"})
-                labels = [*hook_partitions_of(two_s * nsites, shape), *expected]
-                for lam, mu in _route_rows(hook_algebra(shape), spins, labels, cell, violations):
-                    want = expected.get(lam, 0)
-                    if mu != want or mu < 0:
-                        violations.append(
-                            {**cell, "lambda": lam, "mu": str(mu), "oracle": str(want)}
-                        )
+        for two_s, nsites in _grid(two_s_max, nsites_max):
+            spins = (two_s,) * nsites
+            expected = oracle.pieri_expansion(spins, shape)
+            cell = {"shape": shape, "twoS": two_s, "L": nsites}
+            inside = set(hook_partitions_of(two_s * nsites, shape))
+            hooks = (hook_schur(lam, shape) * mult for lam, mult in expected.items())
+            recomposed = sum(hooks, SparsePoly.zero(sum(shape))).terms
+            # hs_lam is zero outside the hook, so the recomposition cannot see such an entry
+            if recomposed != oracle.monomial_counts(spins, shape) or not expected.keys() <= inside:
+                violations.append({**cell, "kind": "oracles"})
+            labels = [*inside, *expected]
+            for lam, mu in _route_rows(hook_algebra(shape), spins, labels, cell, violations):
+                want = expected.get(lam, 0)
+                if mu != want or mu < 0:
+                    violations.append({**cell, "lambda": lam, "mu": str(mu), "oracle": str(want)})
     return violations
 
 
 def kostka_violations(rank_max: int = 2, two_s_max: int = 2, nsites_max: int = 4) -> list[dict]:
     """Monomial coefficients recovered from multiplicities through tableau counts."""
     violations = []
-    for rank in range(1, rank_max + 1):
-        for two_s in range(1, two_s_max + 1):
-            for nsites in range(1, nsites_max + 1):
-                spins = (two_s,) * nsites
-                total = two_s * nsites
-                mus = oracle.schur_expansion(spins, rank)
-                for lam in partitions_of(total, max_rows=rank + 1):
-                    direct = occupancy.occupancy_coefficient(
-                        m_from_lambda(lam, rank, total), spins
-                    )
-                    via_kostka = sum(
-                        oracle.kostka(nu, lam) * mu for nu, mu in mus.items()
-                    )
-                    if direct != via_kostka:
-                        violations.append(
-                            {"rank": rank, "twoS": two_s, "L": nsites,
-                             "lambda": lam, "direct": str(direct),
-                             "viaKostka": str(via_kostka)}
-                        )
+    for rank, two_s, nsites in _grid(rank_max, two_s_max, nsites_max):
+        spins = (two_s,) * nsites
+        total = two_s * nsites
+        mus = oracle.schur_expansion(spins, rank)
+        for lam in partitions_of(total, max_rows=rank + 1):
+            direct = occupancy.occupancy_coefficient(m_from_lambda(lam, rank, total), spins)
+            via_kostka = sum(oracle.kostka(nu, lam) * mu for nu, mu in mus.items())
+            if direct != via_kostka:
+                violations.append({"rank": rank, "twoS": two_s, "L": nsites, "lambda": lam,
+                                   "direct": str(direct), "viaKostka": str(via_kostka)})
     return violations
 
 

@@ -19,7 +19,7 @@ from tensormult.occupancy import (
     standard_m_vectors,
     super_occupancy_table,
 )
-from tensormult.oracle import matrix_count
+from tensormult.oracle import matrix_counts
 from tensormult.partitions import (
     conjugate,
     hook_from_super_m,
@@ -88,11 +88,7 @@ def test_criterion_03_branching_tables():
 
 def test_criterion_04_difference_formula_vs_oracles():
     with budget(4, 600.0):
-        assert verify.tensor_sweep_violations(
-            ranks=(1, 2, 3),
-            two_s_values=(1, 2, 3, 4),
-            nsites_values=(1, 2, 3, 4, 5, 6),
-        ) == []
+        assert verify.tensor_sweep_violations(rank_max=3, two_s_max=4, nsites_max=6) == []
 
 
 def test_criterion_05_hook_length_identity():
@@ -102,7 +98,7 @@ def test_criterion_05_hook_length_identity():
 
 def test_criterion_06_two_factor_strips():
     with budget(6, 60.0):
-        assert verify.pieri_pair_violations(two_s_prime_max=6, rank_max=3) == []
+        assert verify.pieri_pair_violations(two_s_max=6, rank_max=3) == []
 
 
 def test_criterion_07_swap_identities():
@@ -162,7 +158,7 @@ def test_criterion_10_hook_conjecture_sweep():
     with budget(10, 600.0):
         assert verify.super_conjecture_violations(
             shapes=((1, 1), (2, 1), (1, 2), (2, 2)),
-            two_s_values=(1, 2),
+            two_s_max=2,
             nsites_max=6,
         ) == []
 
@@ -196,8 +192,10 @@ def test_criterion_12_backends_and_determinism():
         for shape in ((1, 1), (2, 1), (2, 2)):
             for nsites in (1, 4, 6):
                 table = super_occupancy_table(1, nsites, shape)
-                for m_vec in standard_m_vectors(sum(shape) - 1, nsites):
-                    assert table.get(m_vec, 0) == matrix_count(m_vec, (1,) * nsites, shape)
+                m_vecs = list(standard_m_vectors(sum(shape) - 1, nsites))
+                assert [table.get(m_vec, 0) for m_vec in m_vecs] == matrix_counts(
+                    m_vecs, (1,) * nsites, shape
+                )
         cmd = [
             sys.executable, "-m", "tensormult.cli", "multiplicity", "--algebra",
             "A3", "--twoS", "2", "--L", "4", "--table", "--check",

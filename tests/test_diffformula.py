@@ -26,7 +26,7 @@ from tensormult.occupancy import (
     occupancy_table,
     standard_m_vectors,
 )
-from tensormult.oracle import matrix_count, pieri_expansion, schur_expansion, weyl_dimension
+from tensormult.oracle import matrix_counts, pieri_expansion, schur_expansion, weyl_dimension
 from tensormult.partitions import (
     conjugate,
     hook_partitions_of,
@@ -400,14 +400,23 @@ def test_super_branching_backends_match():
                 vectors += [
                     tuple(rng.randint(-2, total + 2) for _ in range(rank)) for _ in range(40)
                 ]
-                for sub in subs:
+                listed = [
+                    [weyl_denominator_super_subalgebra(sub, tuple(max(x, 0) for x in m_vec))
+                     for m_vec in vectors]
+                    for sub in subs
+                ]
+                # one matrix count call for every vector the shifts read
+                reads = list({
+                    tuple(map(operator.sub, m_vec, shift))
+                    for expansions in listed
+                    for m_vec, expansion in zip(vectors, expansions)
+                    for _, shift in expansion.terms
+                })
+                count = dict(zip(reads, matrix_counts(reads, spins, shape)))
+                for sub, expansions in zip(subs, listed):
                     counted = [
-                        apply_shift(
-                            weyl_denominator_super_subalgebra(sub, tuple(max(x, 0) for x in m_vec)),
-                            lambda mv: matrix_count(mv, spins, shape),
-                            m_vec,
-                        )
-                        for m_vec in vectors
+                        apply_shift(expansion, count.__getitem__, m_vec)
+                        for m_vec, expansion in zip(vectors, expansions)
                     ]
                     assert multiplicities(sub, vectors, spins) == counted, (shape, sub.roots, spins)
 

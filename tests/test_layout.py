@@ -10,7 +10,8 @@ from pathlib import Path
 
 from test_bench_surface import PERFBENCH, _names_read
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tensormult"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tensormult"
 
 # Read by no command and not by the benchmark, each kept for an open ROADMAP
 # item (the `__init__` re-exports count as no read).
@@ -22,15 +23,16 @@ KEPT = {
 }
 
 # Read only by the benchmark's traced layers (`perfbench/layers.py`), which
-# expand and apply the denominator listings and filter weight vectors for
-# labels.  They can leave `src` once the benchmark no longer reads them
-# (ROADMAP item 7).
+# expand and apply the denominator listings, filter weight vectors for labels
+# and check hook tables against the greedy decomposition.  They can leave
+# `src` once the benchmark no longer reads them (ROADMAP item 7).
 BENCHMARK_ONLY = {
     ("diffformula", "apply_shift"),
     ("diffformula", "branching_weight_from_m"),
     ("diffformula", "super_branching_weight_from_m"),
     ("occupancy", "super_occupancy_coefficient"),
     ("occupancy", "super_occupancy_table"),
+    ("oracle", "hook_schur_expansion"),
     ("partitions", "lambda_from_m"),
     ("weyl", "weyl_denominator_ar"),
     ("weyl", "weyl_denominator_super"),
@@ -115,3 +117,18 @@ def test_the_route_imports_nothing_of_the_oracles():
                 continue
             assert source not in ("sympoly", "oracle"), (module, source)
             assert not names & {"sympoly", "oracle"}, (module, names)
+
+
+def test_the_readme_example_imports_only_from_the_package_root():
+    """The README's route example names everything it calls through
+    `tensormult` itself, and prints what its comment says."""
+    block = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    *body, last = ast.parse(block).body
+    imports = [node for node in body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports and all(
+        isinstance(node, ast.ImportFrom) and node.module == "tensormult" for node in imports
+    )
+    namespace = {}
+    exec(compile(ast.Module(body, []), "README.md", "exec"), namespace)
+    assert eval(compile(ast.Expression(last.value), "README.md", "eval"), namespace) == [16]
+    assert block.rstrip().endswith("# [16]")

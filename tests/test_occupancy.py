@@ -18,17 +18,14 @@ from tensormult.occupancy import (
     super_occupancy_coefficient,
     super_occupancy_table,
 )
-from tensormult.oracle import matrix_count
+from tensormult.oracle import matrix_counts
 from tensormult.verify import swap_violations
 
 
 def counted_table(spins, shape):
     """The independent matrix count at every standard weight vector, nonzero only."""
-    counts = {
-        m_vec: matrix_count(m_vec, spins, shape)
-        for m_vec in standard_m_vectors(sum(shape) - 1, sum(spins))
-    }
-    return {m_vec: c for m_vec, c in counts.items() if c}
+    m_vecs = list(standard_m_vectors(sum(shape) - 1, sum(spins)))
+    return {m_vec: c for m_vec, c in zip(m_vecs, matrix_counts(m_vecs, spins, shape)) if c}
 
 
 def test_coefficient_examples():
@@ -42,7 +39,7 @@ def test_coefficient_examples():
 def test_zero_extension():
     for m_vec, spins in (((-1,), (1,) * 4), ((1, 3), (1,) * 6), ((7, 1), (1,) * 6)):
         assert occupancy_coefficient(m_vec, spins) == 0
-        assert matrix_count(m_vec, spins, (len(m_vec) + 1, 0)) == 0
+        assert matrix_counts([m_vec], spins, (len(m_vec) + 1, 0)) == [0]
 
 
 def test_degree_one_counts_are_binomial_products():
@@ -72,10 +69,10 @@ def test_backend_equivalence_exhaustive_small():
             for nsites in range(1, 5):
                 spins = (two_s,) * nsites
                 total = two_s * nsites
-                for m_vec in standard_m_vectors(rank, total):
-                    assert occupancy_coefficient(m_vec, spins) == matrix_count(
-                        m_vec, spins, (rank + 1, 0)
-                    )
+                m_vecs = list(standard_m_vectors(rank, total))
+                assert [occupancy_coefficient(m_vec, spins) for m_vec in m_vecs] == (
+                    matrix_counts(m_vecs, spins, (rank + 1, 0))
+                )
 
 
 def test_backend_equivalence_tables():
@@ -96,8 +93,8 @@ def test_backend_equivalence_random_instances():
         m_vec = tuple(
             sorted((rng.randint(-2, total + 2) for _ in range(rank)), reverse=True)
         )
-        assert occupancy_coefficient(m_vec, spins) == matrix_count(
-            m_vec, spins, (rank + 1, 0)
+        assert [occupancy_coefficient(m_vec, spins)] == matrix_counts(
+            [m_vec], spins, (rank + 1, 0)
         )
 
 
@@ -151,7 +148,7 @@ def test_spin_tuple_errors_keep_their_types_and_texts():
 def test_super_zero_extension():
     assert super_occupancy_coefficient((-1,), 1, 4, (1, 1)) == 0
     assert super_occupancy_coefficient((1, 3), 1, 6, (2, 1)) == 0
-    assert matrix_count((1, 3), (1,) * 6, (2, 1)) == 0
+    assert matrix_counts([(1, 3)], (1,) * 6, (2, 1)) == [0]
     # a negative degree or site count is an error, not an empty product
     for two_s, nsites, name in ((-1, 4, "two_s"), (1, -2, "nsites")):
         with pytest.raises(ValueError, match=name):
@@ -176,21 +173,22 @@ def test_hook_store_reads_by_block_sorted_exponents():
                     chain = (total,) + m_vec + (0,)
                     return tuple(chain[a] - chain[a + 1] for a in range(m + n))
 
-                for m_vec in standard_m_vectors(m + n - 1, total):
-                    count = matrix_count(m_vec, spins, shape)
+                inside = list(standard_m_vectors(m + n - 1, total))
+                outside = [
+                    m_vec[:a] + (value,) + m_vec[a + 1 :]
+                    for m_vec in inside for a in range(m + n - 1) for value in (-1, total + 1)
+                ]
+                counts = matrix_counts(inside + outside, spins, shape)
+                for m_vec, count in zip(inside, counts):
                     exponents = exponents_of(m_vec)
                     assert store.count(exponents) == count, (shape, spins, m_vec)
                     for evens in set(permutations(exponents[:m])):
                         for odds in set(permutations(exponents[m:])):
                             assert store.count(evens + odds) == count, (shape, spins, evens, odds)
-                    for a in range(m + n - 1):
-                        for value in (-1, total + 1):
-                            # a weight vector outside the range has a negative exponent
-                            outside = m_vec[:a] + (value,) + m_vec[a + 1 :]
-                            assert min(exponents_of(outside)) < 0
-                            assert store.count(exponents_of(outside)) == 0 == matrix_count(
-                                outside, spins, shape
-                            )
+                for m_vec, count in zip(outside, counts[len(inside):]):
+                    # a weight vector outside the range has a negative exponent
+                    assert min(exponents_of(m_vec)) < 0
+                    assert store.count(exponents_of(m_vec)) == 0 == count, (shape, spins, m_vec)
 
 
 def test_orbit_lists_each_rearrangement_once():
@@ -267,12 +265,10 @@ def test_capped_read_equals_full_read():
         nentries = sum(shape) - 1
         for spins in spin_lists[nentries]:
             table = occupancy_mod._weight_table(spins, shape)
-            span = range(-1, sum(spins) + 2)
-            for m_vec in product(span, repeat=nentries):
+            m_vecs = list(product(range(-1, sum(spins) + 2), repeat=nentries))
+            for m_vec, counted in zip(m_vecs, matrix_counts(m_vecs, spins, shape)):
                 count = hook_coefficient(m_vec, spins, shape)
-                assert count == table.get(m_vec, 0) == matrix_count(m_vec, spins, shape), (
-                    shape, spins, m_vec,
-                )
+                assert count == table.get(m_vec, 0) == counted, (shape, spins, m_vec)
     # point reads leave the latest uncapped pull's counts in place
     store = hook_table((2, 2, 2), (2, 1))
     counts = occupancy_mod._latest_pull[2]
@@ -316,8 +312,8 @@ def test_resumed_store_equals_a_fresh_pull(monkeypatch):
         # point reads in this and another shape pull capped, beside the record
         record = occupancy_mod._latest_pull
         assert record[:2] == (shape, spins)
-        assert hook_coefficient((3, 1), spins + (1,), (2, 1)) == matrix_count(
-            (3, 1), spins + (1,), (2, 1)
+        assert [hook_coefficient((3, 1), spins + (1,), (2, 1))] == matrix_counts(
+            [(3, 1)], spins + (1,), (2, 1)
         )
         assert hook_coefficient((2, 1), (2, 1), (3, 0)) == 3  # x1 x2 x3 in h_2 h_1
         assert occupancy_mod._latest_pull is record

@@ -15,7 +15,7 @@ from tensormult.oracle import (
     hook_schur_expansion,
     horizontal_strip_additions,
     kostka,
-    matrix_count,
+    matrix_counts,
     monomial_counts,
     pieri_expansion,
     schur_expansion,
@@ -215,21 +215,23 @@ def test_oracle_imports_nothing_of_the_shift_route():
 
 def test_matrix_count_examples():
     # six degree-one sites in three variables: multinomial counts
-    assert matrix_count((3, 1), (1,) * 6, (3, 0)) == 60
+    assert matrix_counts([(3, 1)], (1,) * 6, (3, 0)) == [60]
     # one even and one odd variable: a binomial, whatever the degree
     for two_s in (1, 2, 3):
-        assert matrix_count((2,), (two_s,) * 5, (1, 1)) == 10
-    assert matrix_count((2, 1), (1,) * 6, (2, 1)) == 30
-    assert matrix_count((-1,), (1,) * 4, (2, 0)) == 0
+        assert matrix_counts([(2,)], (two_s,) * 5, (1, 1)) == [10]
+    assert matrix_counts([(2, 1)], (1,) * 6, (2, 1)) == [30]
+    assert matrix_counts([(-1,)], (1,) * 4, (2, 0)) == [0]
+    assert matrix_counts([], (1,) * 4, (2, 0)) == []
     with pytest.raises(ValueError):
-        matrix_count((1,), (1, 1), (2, 1))
+        matrix_counts([(1,)], (1, 1), (2, 1))
 
 
 def test_matrix_count_memo_is_order_free():
-    """Counts taken in a shuffled order equal counts taken in the given
-    order: no memo outlives its call."""
+    """One call over a shuffled list of weight vectors equals the call in
+    the given order, and one call per vector: the memo a call shares among
+    its vectors does not depend on the vector a subcount was reached from."""
     rng = random.Random(11)
-    points = []
+    groups = []
     for shape in ((2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2), (3, 2), (2, 3)):
         width = sum(shape)
         base = tuple(rng.randint(0, 3) for _ in range(6))
@@ -239,26 +241,30 @@ def test_matrix_count_memo_is_order_free():
                   for _ in range(4)]
         for spins in lists:
             total = sum(spins)
+            m_vecs = []
             for _ in range(8):
                 # weights past either end of the range count zero
                 m_vec = tuple(rng.randint(-2, total + 2) for _ in range(width - 1))
                 if rng.random() < 0.7:
                     m_vec = tuple(sorted(m_vec, reverse=True))
-                points.append((m_vec, spins, shape))
-    expected = [matrix_count(*point) for point in points]
-    assert any(expected) and not all(expected)
-    order = list(range(len(points)))
-    rng.shuffle(order)
-    for i in order:
-        assert matrix_count(*points[i]) == expected[i], points[i]
+                m_vecs.append(m_vec)
+            groups.append((m_vecs, spins, shape))
+    expected = [matrix_counts(*group) for group in groups]
+    assert any(map(any, expected)) and not all(map(all, expected))
+    for (m_vecs, spins, shape), counts in zip(groups, expected):
+        assert counts == [matrix_counts([m_vec], spins, shape)[0] for m_vec in m_vecs]
+        order = list(range(len(m_vecs)))
+        rng.shuffle(order)
+        shuffled = matrix_counts([m_vecs[i] for i in order], spins, shape)
+        assert shuffled == [counts[i] for i in order], (spins, shape)
     # the columns keep their given order: (4, 2) and (2, 4) count alike
-    assert matrix_count((2,), (3, 3), (2, 0)) == matrix_count((4,), (3, 3), (2, 0)) == 3
+    assert matrix_counts([(2,), (4,)], (3, 3), (2, 0)) == [3, 3]
 
 
 def test_matrix_count_recurses_only_on_a_memo_miss(monkeypatch):
-    """Within one count each subcount enumerates its rows once, and the last
-    row is never enumerated; a repeated point counts afresh, to the same
-    count."""
+    """Within one call over a degree list each subcount enumerates its rows
+    at most once, and the last row is never enumerated; a second call counts
+    afresh, to the same counts, as nothing outlives a call."""
     enumerate_rows = tensormult.oracle._rows
     calls = []
 
@@ -270,15 +276,15 @@ def test_matrix_count_recurses_only_on_a_memo_miss(monkeypatch):
     for shape in ((3, 0), (2, 1), (1, 2)):
         # no zero degree, so the open column sums' total names the site
         for spins in ((2,) * 4, (2,) * 5, (1, 2, 2, 2), (3, 1, 2, 2, 2)):
-            for m_vec in standard_m_vectors(sum(shape) - 1, sum(spins)):
-                calls.clear()
-                first = matrix_count(m_vec, spins, shape)
-                made = list(calls)
-                assert len(set(made)) == len(made), (m_vec, spins, shape)
-                assert all(sum(columns) > spins[-1] for columns in made)
-                calls.clear()
-                assert matrix_count(m_vec, spins, shape) == first
-                assert calls == made  # nothing kept from the first count
+            m_vecs = list(standard_m_vectors(sum(shape) - 1, sum(spins)))
+            calls.clear()
+            first = matrix_counts(m_vecs, spins, shape)
+            made = list(calls)
+            assert len(set(made)) == len(made), (spins, shape)
+            assert all(sum(columns) > spins[-1] for columns in made)
+            calls.clear()
+            assert matrix_counts(m_vecs, spins, shape) == first
+            assert calls == made  # nothing kept from the first call
     assert made
 
 
@@ -298,20 +304,17 @@ def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):
         return rows
 
     monkeypatch.setattr(tensormult.oracle, "_rows", checked)
-    assert matrix_count((24, 16, 8, 4), (12, 12, 12), (5, 0)) == 299799
+    assert matrix_counts([(24, 16, 8, 4)], (12, 12, 12), (5, 0)) == [299799]
     assert sum(calls) > 1
     calls.clear()
     spins = (4,) * 6
-    counted = {}
-    for m_vec in standard_m_vectors(3, 24):
-        count = matrix_count(m_vec, spins, (4, 0))
-        if count:
-            counted[m_vec] = count
-    assert counted == occupancy_table(spins, 3)
+    m_vecs = list(standard_m_vectors(3, 24))
+    counts = matrix_counts(m_vecs, spins, (4, 0))
+    assert {m_vec: c for m_vec, c in zip(m_vecs, counts) if c} == occupancy_table(spins, 3)
     assert calls
     # and in hook variables, where the odd columns cap their entries at 1
     calls.clear()
-    assert matrix_count((2, 1), (1,) * 6, (2, 1)) == 30
+    assert matrix_counts([(2, 1)], (1,) * 6, (2, 1)) == [30]
     assert calls
 
 
@@ -385,10 +388,10 @@ def test_monomial_counts_equal_the_matrix_count():
                 for expv, count in table.items()
             ), (shape, spins)
             seen = 0
-            for m_vec in product(range(-1, total + 2), repeat=sum(shape) - 1):
+            m_vecs = list(product(range(-1, total + 2), repeat=sum(shape) - 1))
+            for m_vec, count in zip(m_vecs, matrix_counts(m_vecs, spins, shape)):
                 chain = (total,) + m_vec + (0,)
                 exponents = tuple(map(sub, chain, chain[1:]))
-                count = matrix_count(m_vec, spins, shape)
                 assert table.get(exponents, 0) == count, (shape, spins, m_vec)
                 seen += exponents in table
             assert seen == len(table), (shape, spins)
@@ -420,10 +423,9 @@ def test_monomial_counts_extend_only_their_latest_product(monkeypatch):
     )
     new_factors = (2, 2, 0, 1, 2, 7, 3, 2, 2, 3)
     expected = [_fresh_monomial_counts(spins, shape) for spins, shape in sequence]
-    assert expected[5] == {
-        expv: matrix_count(tuple(accumulate(expv[:0:-1]))[::-1], sequence[5][0], (3, 0))
-        for expv in expected[5]
-    }
+    # M_a is the sum of the exponents from position a on
+    m_vecs = [tuple(accumulate(expv[:0:-1]))[::-1] for expv in expected[5]]
+    assert expected[5] == dict(zip(expected[5], matrix_counts(m_vecs, sequence[5][0], (3, 0))))
     tensormult.oracle._latest_product.cache_clear()
     monkeypatch.setattr(tensormult.oracle, "hook_schur", counted)
     widths = set()

@@ -91,3 +91,32 @@ def test_route_sweeps_catch_a_wrong_route(monkeypatch):
         assert {v["kind"] for v in violations} == {"no row"}, suite
     dropped = verify.hook_length_violations(rank_max=1, nsites_max=2)
     assert [v["lambda"] for v in dropped] == [(1,), (1, 1)]
+
+
+def test_super_catches_a_corrupted_fold(monkeypatch):
+    # one count per cell is off: the recomposition misses the product of the
+    # one-row characters in each of the 48 default cells
+    fold = oracle_mod.pieri_expansion
+
+    def corrupted(spins, shape):
+        counts = dict(fold(spins, shape))
+        counts[max(counts)] += 1
+        return counts
+
+    monkeypatch.setattr(oracle_mod, "pieri_expansion", corrupted)
+    violations = verify.super_conjecture_violations()
+    cells = [(v["shape"], v["twoS"], v["L"]) for v in violations if v.get("kind") == "oracles"]
+    assert len(cells) == len(set(cells)) == 48
+    # and the route's row at the corrupted diagram disagrees with the fold
+    assert sum("mu" in v for v in violations) == 48
+
+    # one extra diagram per cell outside the (m, n)-hook: its hook Schur
+    # function is zero, so only the hook containment check sees it
+    def outside(spins, shape):
+        m, n = shape
+        return {**fold(spins, shape), (n + 1,) * (m + 1): 1}
+
+    monkeypatch.setattr(oracle_mod, "pieri_expansion", outside)
+    violations = verify.super_conjecture_violations()
+    cells = [(v["shape"], v["twoS"], v["L"]) for v in violations if v.get("kind") == "oracles"]
+    assert len(cells) == len(set(cells)) == 48
