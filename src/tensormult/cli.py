@@ -147,12 +147,10 @@ def _emit(doc: dict, fmt: str, out) -> None:
         return
     entries = doc.get("entries")
     if entries is None:
-        row = {k: v for k, v in doc.items() if not isinstance(v, (dict, list))}
-        out.write("\t".join(str(v) for v in row.values()) + "\n")
-        return
+        # a single query is one row of its scalar fields, under their names
+        entries = [{k: v for k, v in doc.items() if not isinstance(v, (dict, list))}]
     if entries:
-        header = list(entries[0])
-        out.write("\t".join(header) + "\n")
+        out.write("\t".join(entries[0]) + "\n")
         for entry in entries:
             out.write(
                 "\t".join(
@@ -361,15 +359,15 @@ def cmd_verify(args, out) -> int:
             raise ValueError(f"--{key} does not apply to the {args.suite} suite")
     if "r" in caps and _WEYL_RANK_SUITES.intersection(names):
         weyl_order((range(caps["r"] + 1),))
-    failed = False
-    for name in names:
-        overrides = {_CAP_PARAMS[key]: caps[key] for key in _SUITE_PARAMS[name] & caps.keys()}
-        violations = verify.run_suite(name, **overrides)
+    results = verify.run_suites({
+        name: {_CAP_PARAMS[key]: caps[key] for key in _SUITE_PARAMS[name] & caps.keys()}
+        for name in names
+    })
+    for name, violations in results.items():
         out.write(f"{name}: {len(violations)} violations\n")
         if violations:
             out.write(f"first witness: {json.dumps(violations[0], sort_keys=True)}\n")
-            failed = True
-    return EXIT_MISMATCH if failed else EXIT_OK
+    return EXIT_MISMATCH if any(results.values()) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,12 +10,13 @@ whole-table oracle: the verify sweeps over whole grid cells (the `backends`
 table half, `symmetry`, `rank-one`) read its counts, the alternant
 (`schur_expansion`) reads each multiplicity off it through the Vandermonde's
 terms, and the `super` suite checks the fold against it, recomposed through
-hook Schur polynomials.  It keeps its latest product and extends it factor
-by factor.  `matrix_counts` counts listed weight vectors of one degree list
-without any product, row by row under the column sums still open, in one
-memo that lives for one call.  The greedy decomposition
-(`hook_schur_expansion`) expands each hook Schur polynomial it meets in
-full; only the benchmark's traced layers run it.
+hook Schur polynomials.  It keeps one record, its latest product, and
+extends it factor by factor, as the Pieri fold (`pieri_expansion`) does its
+latest fold; both return read-only mappings.  `matrix_counts` counts listed
+weight vectors of one degree list without any product, row by row under the
+column sums still open, in one memo that lives for one call.  The greedy
+decomposition (`hook_schur_expansion`) expands each hook Schur polynomial it
+meets in full; only the benchmark's traced layers run it.
 
 These routines share no cache with the shift-operator path, and no code
 beyond the validation of degree lists (`occupancy.spin_tuple`) and the
@@ -26,7 +27,7 @@ which the route does not use; the route multiplies no polynomials.
 """
 
 from collections.abc import Mapping
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 from operator import add, sub
@@ -61,11 +62,21 @@ def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-@lru_cache(maxsize=1)
-def _latest_product(shape: tuple[int, int]) -> list:
-    """[degree list, product] of the latest product of one-row characters in
-    hook variables of a shape; only the latest shape's is kept."""
-    return [(), SparsePoly.one(sum(shape))]
+# The latest product and the latest Pieri fold, each (shape, degree list, value).
+_latest = {}
+
+
+def _resume(kind: str, shape: tuple[int, int], spins: tuple[int, ...], start, step):
+    """The value that step(value, degree) folds over spins from start, resumed
+    from the record of its kind when it has the shape and spins equals or
+    extends its degree list; the record then holds spins and its value."""
+    latest_shape, done, value = _latest.get(kind, (None, (), None))
+    if latest_shape != shape or spins[: len(done)] != done:
+        done, value = (), start
+    for two_s in spins[len(done):]:
+        value = step(value, two_s)
+    _latest[kind] = shape, spins, value
+    return value
 
 
 def monomial_counts(spins, shape: tuple[int, int]) -> Mapping[tuple[int, ...], int]:
@@ -80,14 +91,8 @@ def monomial_counts(spins, shape: tuple[int, int]) -> Mapping[tuple[int, ...], i
     the latest one in the same shape multiplies in only its new factors; any
     other starts again from 1.
     """
-    spins = spin_tuple(spins)
-    latest = _latest_product(shape)
-    done, poly = latest
-    if spins[: len(done)] != done:
-        done, poly = (), SparsePoly.one(sum(shape))
-    for two_s in spins[len(done):]:
-        poly = poly * hook_schur((two_s,), shape)
-    latest[:] = spins, poly
+    poly = _resume("product", shape, spin_tuple(spins), SparsePoly.one(sum(shape)),
+                   lambda poly, two_s: poly * hook_schur((two_s,), shape))
     return MappingProxyType(poly.terms)
 
 
@@ -214,7 +219,17 @@ def horizontal_strip_additions(
     return out
 
 
-def pieri_expansion(spins, shape: tuple[int, int]) -> dict[tuple[int, ...], int]:
+def _add_strips(fold: dict, boxes: int, shape: tuple[int, int]) -> dict:
+    """One Pieri step: every diagram of the fold grown by a horizontal strip
+    of `boxes` cells inside the hook, with the counts summed, as a new dict."""
+    grown_fold: dict[tuple[int, ...], int] = {}
+    for lam, count in fold.items():
+        for grown in horizontal_strip_additions(lam, boxes, shape):
+            grown_fold[grown] = grown_fold.get(grown, 0) + count
+    return grown_fold
+
+
+def pieri_expansion(spins, shape: tuple[int, int]) -> Mapping[tuple[int, ...], int]:
     """Multiplicity of every hook character in a product of one-row ones.
 
     Folds one horizontal strip per factor (the Pieri rule), each step
@@ -223,20 +238,15 @@ def pieri_expansion(spins, shape: tuple[int, int]) -> dict[tuple[int, ...], int]
     a ring map and vanish exactly outside the hook (Berele-Regev 1987;
     Macdonald I.3, I.5), and removing boxes from a hook diagram leaves a hook
     diagram, so the early cut is exact.  The ordinary rank-r case is the
-    shape (r + 1, 0).
+    shape (r + 1, 0).  A degree list that extends the latest one in the same
+    shape folds in only its new factors.  The mapping is read-only.
     """
-    spins = spin_tuple(spins)
-    acc = {(): 1}
-    for two_s in spins:
-        nxt: dict[tuple[int, ...], int] = {}
-        for lam, count in acc.items():
-            for grown in horizontal_strip_additions(lam, two_s, shape):
-                nxt[grown] = nxt.get(grown, 0) + count
-        acc = nxt
-    return acc
+    fold = _resume("fold", shape, spin_tuple(spins), {(): 1},
+                   lambda fold, two_s: _add_strips(fold, two_s, shape))
+    return MappingProxyType(fold)
 
 
-def schur_expansion_pieri(spins, rank: int) -> dict[tuple[int, ...], int]:
+def schur_expansion_pieri(spins, rank: int) -> Mapping[tuple[int, ...], int]:
     """The Pieri fold in rank + 1 variables: the same expansion as the alternant."""
     return pieri_expansion(spins, (rank + 1, 0))
 

@@ -4,11 +4,14 @@ a list of violation records; an empty list means the suite passed.  The route
 sweeps read one `diffformula.table` per grid cell, as the CLI does; a diagram
 they enumerate, or an oracle key, without a row is a "no row" violation.
 A suite's grid caps are `rank_max`, `two_s_max` and `nsites_max`, those it takes.
+The suites of (rank, 2s, L) cells are one check per cell (`CELL_CHECKS`),
+and `run_suites` sweeps them together, so a cell's product, fold and count
+store are built once; each suite's violations are those of its solo run.
 """
 
 import random
 from itertools import accumulate, product
-from operator import sub
+from operator import le, sub
 
 from . import diffformula, occupancy, oracle
 from .partitions import hook_partitions_of, m_from_lambda, partitions_of
@@ -21,50 +24,41 @@ def _grid(*caps):
     return product(*(range(1, cap + 1) for cap in caps))
 
 
-def store_oracle_violations(
-    rank_max: int = 3,
-    two_s_max: int = 4,
-    nsites_max: int = 6,
-    samples: int = 200,
-    seed: int = 20240811,
-) -> list[dict]:
-    """The counts must agree with independent ones.  The table half checks
-    the uncapped pull (`occupancy_table`) over the grid against the product
-    of one-row characters (`oracle.monomial_counts`), read at every standard
-    weight vector of each cell: every monomial is one, at the exponents
-    (total - M_1, M_1 - M_2, ..., M_r).  The point half checks the pull
-    capped at each read (`occupancy_coefficient`) against the matrix count
-    (`oracle.matrix_counts`) at random points with mixed degrees, one call
-    per point, as each point has its own degree list."""
-    violations = []
-    for rank, two_s, nsites in _grid(rank_max, two_s_max, nsites_max):
-        spins = (two_s,) * nsites
-        store = occupancy.occupancy_table(spins, rank)
-        counted = {
-            # M_a is the sum of the exponents from position a on
-            tuple(accumulate(expv[:0:-1]))[::-1]: count
-            for expv, count in oracle.monomial_counts(spins, (rank + 1, 0)).items()
-        }
-        if store != counted:
-            diff = set(store.items()) ^ set(counted.items())
-            violations.append({"rank": rank, "twoS": two_s, "L": nsites,
-                               "kind": "table", "diff": sorted(diff)[:3]})
+def _store_cell(rank: int, two_s: int, nsites: int) -> list[dict]:
+    """The uncapped pull (`occupancy_table`) against the product of one-row
+    characters (`oracle.monomial_counts`), each monomial a standard weight."""
+    spins = (two_s,) * nsites
+    store = occupancy.occupancy_table(spins, rank)
+    counted = {
+        # M_a is the sum of the exponents from position a on
+        tuple(accumulate(expv[:0:-1]))[::-1]: count
+        for expv, count in oracle.monomial_counts(spins, (rank + 1, 0)).items()
+    }
+    if store == counted:
+        return []
+    diff = set(store.items()) ^ set(counted.items())
+    return [{"rank": rank, "twoS": two_s, "L": nsites, "kind": "table", "diff": sorted(diff)[:3]}]
+
+
+def store_oracle_violations(rank_max: int = 3, two_s_max: int = 4, nsites_max: int = 6,
+                            samples: int = 200, seed: int = 20240811) -> list[dict]:
+    """The counts must agree with independent ones: the table half
+    (`_store_cell`) over the grid, then the point half, the pull capped at
+    each read (`occupancy_coefficient`) against the matrix count
+    (`oracle.matrix_counts`) at random points of mixed degrees, one call each."""
+    violations = sweep({"backends": (rank_max, two_s_max, nsites_max)})["backends"]
     rng = random.Random(seed)
     for _ in range(samples):
         rank = rng.randint(1, 4)
         nsites = rng.randint(1, 7)
         spins = tuple(rng.randint(0, 5) for _ in range(nsites))
         total = sum(spins)
-        m_vec = tuple(
-            sorted((rng.randint(-2, total + 2) for _ in range(rank)), reverse=True)
-        )
+        m_vec = tuple(sorted((rng.randint(-2, total + 2) for _ in range(rank)), reverse=True))
         stored = occupancy.occupancy_coefficient(m_vec, spins)
         [counted] = oracle.matrix_counts([m_vec], spins, (rank + 1, 0))
         if stored != counted:
-            violations.append(
-                {"rank": rank, "spins": spins, "M": m_vec, "kind": "point",
-                 "store": str(stored), "oracle": str(counted)}
-            )
+            violations.append({"rank": rank, "spins": spins, "M": m_vec, "kind": "point",
+                               "store": str(stored), "oracle": str(counted)})
     return violations
 
 
@@ -95,28 +89,21 @@ def swap_violations(spins, rank: int) -> list[dict]:
             if image != base:
                 moved = list(m_vec)
                 moved[i - 1] = chain[i - 1] + chain[i + 1] - chain[i]
-                violations.append(
-                    {
-                        "M": list(m_vec),
-                        "swap": i,
-                        "image": moved,
-                        "count": str(base),
-                        "image_count": str(image),
-                    }
-                )
+                violations.append({"M": list(m_vec), "swap": i, "image": moved,
+                                   "count": str(base), "image_count": str(image)})
     return violations
 
 
-def symmetry_violations(
-    rank_max: int = 3, two_s_max: int = 3, nsites_max: int = 5
-) -> list[dict]:
+def _swap_cell(rank: int, two_s: int, nsites: int) -> list[dict]:
+    """`swap_violations` at one cell, each record naming the cell."""
+    cell = {"rank": rank, "twoS": two_s, "L": nsites}
+    return [{**record, **cell} for record in swap_violations((two_s,) * nsites, rank)]
+
+
+def symmetry_violations(rank_max: int = 3, two_s_max: int = 3,
+                        nsites_max: int = 5) -> list[dict]:
     """Adjacent-swap identity suite over the full default grid."""
-    violations = []
-    for rank, two_s, nsites in _grid(rank_max, two_s_max, nsites_max):
-        for record in swap_violations((two_s,) * nsites, rank):
-            record.update({"rank": rank, "twoS": two_s, "L": nsites})
-            violations.append(record)
-    return violations
+    return sweep({"symmetry": (rank_max, two_s_max, nsites_max)})["symmetry"]
 
 
 def _route_rows(sub: SuperRootSubset, spins, labels, cell: dict, violations: list):
@@ -156,24 +143,25 @@ def rank_one_violations(two_s_max: int = 6, nsites_max: int = 12) -> list[dict]:
     return violations
 
 
-def tensor_sweep_violations(
-    rank_max: int = 3, two_s_max: int = 4, nsites_max: int = 6
-) -> list[dict]:
-    """Shift route vs alternant oracle vs insertion oracle, exhaustively."""
-    violations = []
-    for rank, two_s, nsites in _grid(rank_max, two_s_max, nsites_max):
-        spins = (two_s,) * nsites
-        van = oracle.schur_expansion(spins, rank)
-        pieri = oracle.schur_expansion_pieri(spins, rank)
-        cell = {"rank": rank, "twoS": two_s, "L": nsites}
-        if van != pieri:
-            violations.append({**cell, "kind": "oracles"})
-        labels = [*partitions_of(two_s * nsites, max_rows=rank + 1), *van]
-        for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
-            expected = van.get(lam, 0)
-            if mu != expected or mu < 0:
-                violations.append({**cell, "lambda": lam, "mu": str(mu), "oracle": str(expected)})
+def _tensor_cell(rank: int, two_s: int, nsites: int) -> list[dict]:
+    """The route's table against the alternant, and the alternant against the fold."""
+    spins = (two_s,) * nsites
+    van = oracle.schur_expansion(spins, rank)
+    pieri = oracle.schur_expansion_pieri(spins, rank)
+    cell = {"rank": rank, "twoS": two_s, "L": nsites}
+    violations = [] if van == pieri else [{**cell, "kind": "oracles"}]
+    labels = [*partitions_of(two_s * nsites, max_rows=rank + 1), *van]
+    for lam, mu in _route_rows(full_subalgebra(rank), spins, labels, cell, violations):
+        expected = van.get(lam, 0)
+        if mu != expected or mu < 0:
+            violations.append({**cell, "lambda": lam, "mu": str(mu), "oracle": str(expected)})
     return violations
+
+
+def tensor_sweep_violations(rank_max: int = 3, two_s_max: int = 4,
+                            nsites_max: int = 6) -> list[dict]:
+    """Shift route vs alternant oracle vs insertion oracle, exhaustively."""
+    return sweep({"tensor": (rank_max, two_s_max, nsites_max)})["tensor"]
 
 
 def pieri_pair_violations(two_s_max: int = 6, rank_max: int = 3) -> list[dict]:
@@ -239,19 +227,42 @@ def super_conjecture_violations(
     return violations
 
 
+def _kostka_cell(rank: int, two_s: int, nsites: int) -> list[dict]:
+    """Point counts against the alternant's multiplicities through tableau counts."""
+    spins = (two_s,) * nsites
+    total = two_s * nsites
+    mus = oracle.schur_expansion(spins, rank)
+    violations = []
+    for lam in partitions_of(total, max_rows=rank + 1):
+        direct = occupancy.occupancy_coefficient(m_from_lambda(lam, rank, total), spins)
+        via_kostka = sum(oracle.kostka(nu, lam) * mu for nu, mu in mus.items())
+        if direct != via_kostka:
+            violations.append({"rank": rank, "twoS": two_s, "L": nsites, "lambda": lam,
+                               "direct": str(direct), "viaKostka": str(via_kostka)})
+    return violations
+
+
 def kostka_violations(rank_max: int = 2, two_s_max: int = 2, nsites_max: int = 4) -> list[dict]:
     """Monomial coefficients recovered from multiplicities through tableau counts."""
-    violations = []
-    for rank, two_s, nsites in _grid(rank_max, two_s_max, nsites_max):
-        spins = (two_s,) * nsites
-        total = two_s * nsites
-        mus = oracle.schur_expansion(spins, rank)
-        for lam in partitions_of(total, max_rows=rank + 1):
-            direct = occupancy.occupancy_coefficient(m_from_lambda(lam, rank, total), spins)
-            via_kostka = sum(oracle.kostka(nu, lam) * mu for nu, mu in mus.items())
-            if direct != via_kostka:
-                violations.append({"rank": rank, "twoS": two_s, "L": nsites, "lambda": lam,
-                                   "direct": str(direct), "viaKostka": str(via_kostka)})
+    return sweep({"kostka": (rank_max, two_s_max, nsites_max)})["kostka"]
+
+
+# The check at one cell of each suite whose grid is (rank, 2s, L) cells, the degree
+# list (2s,) * L in rank + 1 variables; its runner's first three parameters are _CAPS.
+CELL_CHECKS = {"backends": _store_cell, "symmetry": _swap_cell, "tensor": _tensor_cell,
+               "kostka": _kostka_cell}
+_CAPS = ("rank_max", "two_s_max", "nsites_max")
+
+
+def sweep(grids: dict[str, tuple[int, int, int]]) -> dict[str, list[dict]]:
+    """The violations of each named cell check over its (rank, 2s, L) caps, in
+    one `_grid` walk over the union of the grids: each list keeps its suite's
+    order, and each cell's product, fold and count store are built once."""
+    violations = {name: [] for name in grids}
+    for cell in _grid(*map(max, zip(*grids.values()))):
+        for name, caps in grids.items():
+            if all(map(le, cell, caps)):
+                violations[name] += CELL_CHECKS[name](*cell)
     return violations
 
 
@@ -261,6 +272,21 @@ def run_suite(name: str, **overrides) -> list[dict]:
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return runner(**overrides)
+
+
+def run_suites(overrides: dict[str, dict]) -> dict[str, list[dict]]:
+    """The violations of each named suite, equal to
+    `run_suite(name, **overrides[name])`: the cell suites in one `sweep`,
+    each then run over no cells for what it checks beyond them (the
+    `backends` point half), then the others one by one."""
+    swept = sweep({
+        name: tuple(map(kwargs.get, _CAPS, SUITES[name].__defaults__))
+        for name, kwargs in overrides.items() if name in CELL_CHECKS
+    })
+    for name in swept:
+        swept[name] += SUITES[name](**{**overrides[name], "rank_max": 0})
+    return {name: swept[name] if name in swept else run_suite(name, **kwargs)
+            for name, kwargs in overrides.items()}
 
 
 SUITES = {
@@ -273,4 +299,3 @@ SUITES = {
     "super": super_conjecture_violations,
     "kostka": kostka_violations,
 }
-

@@ -201,6 +201,20 @@ def test_tsv_format(capsys):
     assert lines[1:] == ["0\t1", "1\t2", "2\t1"]
 
 
+def test_single_query_tsv_names_its_columns(capsys):
+    # a single query's scalar fields, under a header line as a table's are
+    status, out = run_cli(
+        capsys, "occupancy", "--algebra", "A2", "--twoS", "1", "--L", "2", "--M", "1,0",
+        "--format", "tsv",
+    )
+    assert (status, out) == (0, "r\tL\tc\n2\t2\t2\n")
+    status, out = run_cli(
+        capsys, "multiplicity", "--algebra", "A2", "--twoS", "1", "--L", "3", "--lambda", "2,1",
+        "--check", "--format", "tsv",
+    )
+    assert (status, out) == (0, "mu\toracle\n2\t2\n")
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     status, out = run_cli(

@@ -323,13 +323,13 @@ def test_alternant_extended_across_a_power_of_two_total():
     exponent of the running product crosses 8, 16 and 32, so the packed
     product's field width changes between extensions; each expansion still
     equals the Pieri fold."""
-    tensormult.oracle._latest_product.cache_clear()
+    tensormult.oracle._latest.clear()
     spins, widths = (), set()
     for two_s in (3, 2, 4, 1, 7, 9, 0, 16):
         spins += (two_s,)
         assert schur_expansion(spins, 2) == schur_expansion_pieri(spins, 2), spins
-        done, poly = tensormult.oracle._latest_product((3, 0))
-        assert done == spins
+        shape, done, poly = tensormult.oracle._latest["product"]
+        assert (shape, done) == ((3, 0), spins)
         widths.add(max(map(max, poly.terms)).bit_length())
     assert widths >= {3, 4, 5, 6}
 
@@ -345,7 +345,7 @@ def test_alternant_extends_only_its_latest_product(monkeypatch):
         return original(lam, shape)
 
     def fresh(spins, rank):
-        tensormult.oracle._latest_product.cache_clear()
+        tensormult.oracle._latest.clear()
         return schur_expansion(spins, rank)
 
     sequence = (
@@ -361,7 +361,7 @@ def test_alternant_extends_only_its_latest_product(monkeypatch):
     )
     expected = [fresh(spins, rank) for spins, rank, _ in sequence]
     assert expected[1] == schur_expansion_pieri((2, 1, 3, 0), 2)
-    tensormult.oracle._latest_product.cache_clear()
+    tensormult.oracle._latest.clear()
     monkeypatch.setattr(tensormult.oracle, "hook_schur", counted)
     for (spins, rank, new_factors), want in zip(sequence, expected):
         products.clear()
@@ -370,7 +370,7 @@ def test_alternant_extends_only_its_latest_product(monkeypatch):
 
 
 def _fresh_monomial_counts(spins, shape):
-    tensormult.oracle._latest_product.cache_clear()
+    tensormult.oracle._latest.clear()
     return dict(monomial_counts(spins, shape))
 
 
@@ -395,6 +395,49 @@ def test_monomial_counts_equal_the_matrix_count():
                 assert table.get(exponents, 0) == count, (shape, spins, m_vec)
                 seen += exponents in table
             assert seen == len(table), (shape, spins)
+
+
+def test_pieri_expansion_extends_only_its_latest_fold(monkeypatch):
+    """The running fold is reused only for an extension of the latest degree
+    list in the same shape; every fold equals one built from a cleared
+    cache, and none can be written to."""
+    factors = []
+    original = tensormult.oracle._add_strips
+
+    def counted(fold, boxes, shape):
+        factors.append(boxes)
+        return original(fold, boxes, shape)
+
+    sequence = (
+        ((2, 0), (2, 1)),  # a first list, a zero degree among it
+        ((2, 0, 3, 1), (2, 1)),  # extends it: two new factors
+        ((2, 0, 3, 1), (2, 1)),  # the same list again
+        ((2, 0, 3, 1, 0, 4), (2, 1)),  # extends it by a zero and a 4
+        ((2, 0, 3, 1, 0, 4), (3, 0)),  # another shape: rebuilt
+        ((2, 0, 3), (3, 0)),  # shrinks: rebuilt
+        ((2, 0, 3, 5), (3, 0)),  # extends it
+        ((1, 2), (3, 0)),  # not an extension: rebuilt
+        ((2, 2, 1), (3, 0)),  # longer, but not an extension: rebuilt
+        ((), (3, 0)),  # no factors: the empty diagram
+    )
+    new_factors = (2, 2, 0, 2, 6, 3, 1, 2, 3, 0)
+
+    def fresh(spins, shape):
+        tensormult.oracle._latest.clear()
+        return dict(pieri_expansion(spins, shape))
+
+    expected = [fresh(spins, shape) for spins, shape in sequence]
+    assert expected[-1] == {(): 1}
+    assert expected[4] == schur_expansion(sequence[4][0], 2)
+    tensormult.oracle._latest.clear()
+    monkeypatch.setattr(tensormult.oracle, "_add_strips", counted)
+    for (spins, shape), new, want in zip(sequence, new_factors, expected):
+        factors.clear()
+        fold = pieri_expansion(spins, shape)
+        assert fold == want, (spins, shape)
+        assert len(factors) == new, (spins, shape)
+        with pytest.raises(TypeError):
+            fold[(1,)] = 1
 
 
 def test_monomial_counts_extend_only_their_latest_product(monkeypatch):
@@ -426,7 +469,7 @@ def test_monomial_counts_extend_only_their_latest_product(monkeypatch):
     # M_a is the sum of the exponents from position a on
     m_vecs = [tuple(accumulate(expv[:0:-1]))[::-1] for expv in expected[5]]
     assert expected[5] == dict(zip(expected[5], matrix_counts(m_vecs, sequence[5][0], (3, 0))))
-    tensormult.oracle._latest_product.cache_clear()
+    tensormult.oracle._latest.clear()
     monkeypatch.setattr(tensormult.oracle, "hook_schur", counted)
     widths = set()
     for (spins, shape), new, want in zip(sequence, new_factors, expected):

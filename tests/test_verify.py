@@ -2,10 +2,13 @@
 
 from collections import Counter
 
+import pytest
+
 import tensormult.diffformula as diffformula_mod
 import tensormult.occupancy as occupancy_mod
 import tensormult.oracle as oracle_mod
-from tensormult import verify
+from tensormult import cli, verify
+from tensormult.sympoly import SparsePoly
 
 ROUTE_SWEEPS = ("rank-one", "tensor", "pieri", "hooklength", "super")
 
@@ -120,3 +123,87 @@ def test_super_catches_a_corrupted_fold(monkeypatch):
     violations = verify.super_conjecture_violations()
     cells = [(v["shape"], v["twoS"], v["L"]) for v in violations if v.get("kind") == "oracles"]
     assert len(cells) == len(set(cells)) == 48
+
+
+@pytest.mark.parametrize("caps", [(), ("--r", "2", "--twoS", "2", "--L", "3")])
+def test_verify_all_prints_the_solo_runs(capsys, caps):
+    # the joint sweep prints exactly the eight solo runs, one after another,
+    # each given the caps it takes
+    flags = dict(zip(caps[::2], caps[1::2]))
+
+    def run(suite, given):
+        status = cli.main(["verify", "--suite", suite, *(x for kv in given.items() for x in kv)])
+        return status, capsys.readouterr().out
+
+    solo = [run(name, {key: value for key, value in flags.items()
+                       if key[2:] in cli._SUITE_PARAMS[name]})
+            for name in sorted(verify.SUITES)]
+    assert run("all", flags) == (max(status for status, _ in solo), "".join(out for _, out in solo))
+
+
+def test_joint_violations_equal_the_solo_ones(monkeypatch):
+    # with a corrupted store chamber and a corrupted monomial count, every
+    # suite's violations from the joint run equal its solo ones, in order
+    build, table = occupancy_mod.hook_table, oracle_mod.monomial_counts
+
+    def corrupted_store(spins, shape):
+        chambers = dict(build(spins, shape).chambers)
+        chambers[min(chambers)] += 1
+        return occupancy_mod.ChamberStore(chambers, shape)
+
+    def corrupted_counts(spins, shape):
+        counts = dict(table(spins, shape))
+        counts[max(counts)] += 1
+        return counts
+
+    monkeypatch.setattr(occupancy_mod, "hook_table", corrupted_store)
+    monkeypatch.setattr(oracle_mod, "monomial_counts", corrupted_counts)
+    small = {"rank_max": 2, "two_s_max": 2, "nsites_max": 3}
+    for overrides in ({name: {} for name in verify.SUITES},
+                      {"symmetry": small, "backends": {**small, "samples": 5}, "tensor": {},
+                       "super": {"two_s_max": 1}}):
+        joint = verify.run_suites(overrides)
+        assert list(joint) == list(overrides)
+        for name, kwargs in overrides.items():
+            assert joint[name] == verify.run_suite(name, **kwargs), name
+        assert all(joint.values())
+
+
+def test_joint_sweep_builds_each_cell_once(monkeypatch):
+    # one product of one-row characters and one uncapped store level per
+    # default ordinary cell (72), where the suites alone build 72 + 45 + 72
+    # products and 72 + 72 levels; and the Pieri fold takes one factor per cell
+    work = Counter()
+    multiply, pull, add_strips = SparsePoly.__mul__, occupancy_mod._pull, oracle_mod._add_strips
+
+    def product(self, other):
+        work["products"] += isinstance(other, SparsePoly)
+        return multiply(self, other)
+
+    def levels(spins, shape, cap=None, **resume):
+        work["levels"] += (cap is None) * (len(spins) - spins.count(0))
+        return pull(spins, shape, cap, **resume)
+
+    def folded(fold, boxes, shape):
+        work["factors"] += 1
+        return add_strips(fold, boxes, shape)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", product)
+    monkeypatch.setattr(occupancy_mod, "_pull", levels)
+    monkeypatch.setattr(oracle_mod, "_add_strips", folded)
+
+    def run(*names):
+        oracle_mod._latest.clear()
+        monkeypatch.setattr(occupancy_mod, "_latest_pull", (None, (), None))
+        work.clear()
+        assert verify.run_suites({name: {} for name in names}) == {name: [] for name in names}
+        return work["products"], work["levels"], work["factors"]
+
+    assert run("backends") == (72, 72, 0)
+    assert run("symmetry") == (45, 0, 0)
+    assert run("tensor") == (72, 72, 72)
+    assert run("super")[2] == 48
+    assert run("backends", "symmetry", "tensor") == (72, 72, 72)
+    # the kostka cells lie inside the others' grid: it adds no product
+    assert run("kostka") == (16, 0, 0)
+    assert run("backends", "symmetry", "tensor", "kostka") == (72, 72, 72)
