@@ -89,61 +89,33 @@ def _super_branch_fields(label, diagram_text):
     }
 
 
-def _json(value, pad: str) -> str:
+def _json(value, pad: str = "") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, every line after the
-    first indented by pad more: ints, strings and lists of them written
-    directly, anything else through json.dumps."""
+    first indented by pad more: dicts of str keys, lists, tuples, ints and
+    strings written directly, anything else through json.dumps."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return repr(value)
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        items = (",\n" + inner).join([_json(item, inner) for item in value])
-        return f"[\n{inner}{items}\n{pad}]"
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
-def _json_entries(entries) -> str:
-    """The `entries` list of a document, as `_json(entries, "  ")` writes it.
-
-    One template per table: the keys of the first entry, sorted and quoted
-    once.  An entry with other keys is written through json.dumps.
-    """
-    if not entries:
-        return "[]"
-    keys = sorted(entries[0])
-    same = set(keys)
-    template = [(f"\n      {encode_basestring_ascii(key)}: ", key) for key in keys]
-    rows = []
-    for entry in entries:
-        if keys and entry.keys() == same:
-            fields = ",".join([head + _json(entry[key], "      ") for head, key in template])
-            rows.append(f"{{{fields}\n    }}")
-        else:
-            rows.append(_json(entry, "    "))
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
-
-
-def _json_doc(doc: dict) -> str:
-    """`json.dumps(doc, indent=2, sort_keys=True)` for a document of str
-    keys: the top-level keys sorted, `entries` through its template."""
-    if not doc:
-        return "{}"
-    fields = [
-        f"  {encode_basestring_ascii(key)}: "
-        + (_json_entries(doc[key]) if key == "entries" else _json(doc[key], "  "))
-        for key in sorted(doc)
-    ]
-    return "{\n" + ",\n".join(fields) + "\n}"
+    inner = pad + "  "
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
+                 for key in sorted(value)]
+        ends = "{}"
+    elif kind is list or kind is tuple:
+        items = [_json(item, inner) for item in value]
+        ends = "[]"
+    else:
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
 
 
 def _emit(doc: dict, fmt: str, out) -> None:
     if fmt == "json":
-        out.write(_json_doc(doc) + "\n")
+        out.write(_json(doc) + "\n")
         return
     entries = doc.get("entries")
     if entries is None:
@@ -328,40 +300,25 @@ def cmd_occupancy(args, out) -> int:
     return EXIT_OK
 
 
-# the grid caps each suite takes from the command line; a cap that no suite
-# of the run takes is refused rather than ignored
-_SUITE_PARAMS = {
-    "backends": {"r", "twoS", "L"},
-    "symmetry": {"r", "twoS", "L"},
-    "rank-one": {"twoS", "L"},
-    "tensor": {"r", "twoS", "L"},
-    "pieri": {"r", "twoS"},
-    "hooklength": {"r", "L"},
-    "super": {"twoS", "L"},
-    "kostka": {"r", "twoS", "L"},
-}
-# the keyword each cap sets, the same in every suite
+# the keyword each grid cap sets, the same in every suite that takes it
 _CAP_PARAMS = {"r": "rank_max", "twoS": "two_s_max", "L": "nsites_max"}
-
-# suites whose --r reaches an alternant or the route: a rank-r grid expands a
-# Vandermonde or walks a Weyl group of order (r + 1)!
-_WEYL_RANK_SUITES = {"tensor", "kostka", "pieri", "hooklength"}
 
 
 def cmd_verify(args, out) -> int:
-    caps = {key: getattr(args, key) for key in ("r", "twoS", "L") if getattr(args, key) is not None}
-    for key, value in caps.items():
+    """Each suite of the run gets the caps it takes (`verify.caps_of`); a cap
+    that no suite of the run takes is refused rather than ignored."""
+    given = {flag: getattr(args, flag) for flag in _CAP_PARAMS if getattr(args, flag) is not None}
+    for flag, value in given.items():
         if value < 1:
-            raise ValueError(f"--{key} must be at least 1, got {value}")
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-    for key in caps:
-        if not any(key in _SUITE_PARAMS[name] for name in names):
-            raise ValueError(f"--{key} does not apply to the {args.suite} suite")
-    if "r" in caps and _WEYL_RANK_SUITES.intersection(names):
-        weyl_order((range(caps["r"] + 1),))
+    taken = {name: verify.caps_of(name) for name in names}
+    for flag in given:
+        if not any(_CAP_PARAMS[flag] in caps for caps in taken.values()):
+            raise ValueError(f"--{flag} does not apply to the {args.suite} suite")
     results = verify.run_suites({
-        name: {_CAP_PARAMS[key]: caps[key] for key in _SUITE_PARAMS[name] & caps.keys()}
-        for name in names
+        name: {_CAP_PARAMS[flag]: value for flag, value in given.items() if _CAP_PARAMS[flag] in caps}
+        for name, caps in taken.items()
     })
     for name, violations in results.items():
         out.write(f"{name}: {len(violations)} violations\n")

@@ -22,10 +22,6 @@ from .errors import ArityMismatch
 from .partitions import partition, strip_removals, transpose
 
 
-def _grlex(expv):
-    return (sum(expv), expv)
-
-
 class SparsePoly:
     """Polynomial as a map from exponent tuples to nonzero integer coefficients."""
 
@@ -43,20 +39,8 @@ class SparsePoly:
     def one(cls, nvars):
         return cls(nvars, {(0,) * nvars: 1})
 
-    @classmethod
-    def variable(cls, index, nvars):
-        expv = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {expv: 1})
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, expv) -> int:
-        """Stored coefficient, or 0 (in particular for any negative exponent)."""
-        expv = tuple(expv)
-        if any(e < 0 for e in expv):
-            return 0
-        return self.terms.get(expv, 0)
 
     def _check_arity(self, other):
         if self.nvars != other.nvars:
@@ -111,19 +95,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = SparsePoly.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def __eq__(self, other):
         return (
             isinstance(other, SparsePoly)
@@ -133,14 +104,6 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({self.nvars}, {len(self.terms)} terms)"
-
-    def dump(self) -> str:
-        """One term per line, "coeff * x1^e1 ... xn^en", graded-lex descending."""
-        lines = []
-        for e in sorted(self.terms, key=_grlex, reverse=True):
-            factors = " ".join(f"x{i + 1}^{p}" for i, p in enumerate(e))
-            lines.append(f"{self.terms[e]} * {factors}")
-        return "\n".join(lines)
 
 
 def vandermonde(nvars: int) -> SparsePoly:

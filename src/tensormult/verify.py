@@ -3,7 +3,8 @@ checked against an independent one over parameter grids.  Each runner returns
 a list of violation records; an empty list means the suite passed.  The route
 sweeps read one `diffformula.table` per grid cell, as the CLI does; a diagram
 they enumerate, or an oracle key, without a row is a "no row" violation.
-A suite's grid caps are `rank_max`, `two_s_max` and `nsites_max`, those it takes.
+A suite's grid caps are those of `rank_max`, `two_s_max` and `nsites_max` its
+runner takes (`caps_of`).
 The suites of (rank, 2s, L) cells are one check per cell (`CELL_CHECKS`),
 and `run_suites` sweeps them together, so a cell's product, fold and count
 store are built once; each suite's violations are those of its solo run.
@@ -16,7 +17,7 @@ from operator import le, sub
 from . import diffformula, occupancy, oracle
 from .partitions import hook_partitions_of, m_from_lambda, partitions_of
 from .sympoly import SparsePoly, hook_schur
-from .weyl import SuperRootSubset, full_subalgebra, hook_algebra
+from .weyl import SuperRootSubset, full_subalgebra, hook_algebra, weyl_order
 
 
 def _grid(*caps):
@@ -248,10 +249,14 @@ def kostka_violations(rank_max: int = 2, two_s_max: int = 2, nsites_max: int = 4
 
 
 # The check at one cell of each suite whose grid is (rank, 2s, L) cells, the degree
-# list (2s,) * L in rank + 1 variables; its runner's first three parameters are _CAPS.
+# list (2s,) * L in rank + 1 variables; its runner takes all three _CAPS.
 CELL_CHECKS = {"backends": _store_cell, "symmetry": _swap_cell, "tensor": _tensor_cell,
                "kostka": _kostka_cell}
 _CAPS = ("rank_max", "two_s_max", "nsites_max")
+
+# suites whose rank_max reaches an alternant or the route: a rank-r grid
+# expands a Vandermonde or walks a Weyl group of order (r + 1)!
+_WEYL_RANK_SUITES = {"tensor", "kostka", "pieri", "hooklength"}
 
 
 def sweep(grids: dict[str, tuple[int, int, int]]) -> dict[str, list[dict]]:
@@ -266,23 +271,33 @@ def sweep(grids: dict[str, tuple[int, int, int]]) -> dict[str, list[dict]]:
     return violations
 
 
-def run_suite(name: str, **overrides) -> list[dict]:
+def caps_of(name: str) -> dict[str, int]:
+    """The grid caps (of _CAPS) that suite `name` takes, each with its
+    default, read from its runner's signature."""
     try:
         runner = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return runner(**overrides)
+    code, defaults = runner.__code__, runner.__defaults__
+    params = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
+    return {key: value for key, value in zip(params, defaults) if key in _CAPS}
+
+
+def run_suite(name: str, **overrides) -> list[dict]:
+    caps_of(name)  # refuses an unknown name
+    return SUITES[name](**overrides)
 
 
 def run_suites(overrides: dict[str, dict]) -> dict[str, list[dict]]:
     """The violations of each named suite, equal to
     `run_suite(name, **overrides[name])`: the cell suites in one `sweep`,
     each then run over no cells for what it checks beyond them (the
-    `backends` point half), then the others one by one."""
-    swept = sweep({
-        name: tuple(map(kwargs.get, _CAPS, SUITES[name].__defaults__))
-        for name, kwargs in overrides.items() if name in CELL_CHECKS
-    })
+    `backends` point half), then the others one by one.  A rank cap whose
+    group is above the limit is refused before any suite runs."""
+    caps = {name: {**caps_of(name), **kwargs} for name, kwargs in overrides.items()}
+    for name in _WEYL_RANK_SUITES & caps.keys():
+        weyl_order((range(caps[name]["rank_max"] + 1),))
+    swept = sweep({name: tuple(map(caps[name].get, _CAPS)) for name in caps if name in CELL_CHECKS})
     for name in swept:
         swept[name] += SUITES[name](**{**overrides[name], "rank_max": 0})
     return {name: swept[name] if name in swept else run_suite(name, **kwargs)

@@ -22,7 +22,7 @@ polynomial oracles.
 
 from functools import cache
 from itertools import accumulate, combinations
-from math import comb, factorial, prod
+from math import comb, factorial
 from operator import itemgetter
 
 from .errors import InvalidTruncation, NotClosed
@@ -210,15 +210,19 @@ def weyl_order(components) -> int:
 
     An order above MAX_WEYL_ORDER is refused, naming the component sizes
     (the order may have too many digits to print), before anything is
-    enumerated or expanded.
+    enumerated or expanded.  The product stops at the first factor that
+    takes it past the limit, and a component of ten labels or more counts as
+    10!, past it alone, so no large factorial is multiplied out.
     """
-    order = prod(factorial(len(g)) for g in components)
-    if order > MAX_WEYL_ORDER:
-        sizes = ", ".join(str(len(g)) for g in components)
-        raise ValueError(
-            f"the denominator's even Weyl group, on components of sizes {sizes}, "
-            f"has order above the limit of 9! = {MAX_WEYL_ORDER}"
-        )
+    order = 1
+    for g in components:
+        order *= factorial(min(len(g), 10))
+        if order > MAX_WEYL_ORDER:
+            sizes = ", ".join(str(len(g)) for g in components)
+            raise ValueError(
+                f"the denominator's even Weyl group, on components of sizes {sizes}, "
+                f"has order above the limit of 9! = {MAX_WEYL_ORDER}"
+            )
     return order
 
 

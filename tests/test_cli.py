@@ -190,6 +190,22 @@ def test_json_writer_prints_the_bytes_of_json_dumps(capsys, monkeypatch):
         assert out.getvalue() == dumped(doc), doc
 
 
+def test_json_writer_on_documents_no_digest_covers():
+    import tensormult.cli as cli_mod
+
+    docs = (
+        {"a": {"c": {"e": [1, {"f": "g"}], "d": 2}, "b": "x"}},
+        {"empty": [], "none": {}, "nested": [[], {}, [[]]]},
+        {"pair": (1, (2, "three")), "row": ((), ("\u00e9",))},
+        {"name": "A\u2083 \u00e9t\u00e9 \U0001d518 \"q\" \\ \n\t"},
+        {"big": 10**399 + 7, "negative": -(10**399)},
+        {"entries": [{"M": [1, 0], "mu": "2"}, {"M": [0, 0], "lambda": [], "mu": "1"},
+                     {"c": "3"}, {}, {"mu": "0", "M": []}]},
+    )
+    for doc in docs:
+        assert cli_mod._json(doc) == json.dumps(doc, indent=2, sort_keys=True), doc
+
+
 def test_tsv_format(capsys):
     status, out = run_cli(
         capsys, "occupancy", "--algebra", "A1", "--twoS", "1", "--L", "2",
@@ -346,6 +362,10 @@ def test_large_denominators_refused_at_once(capsys):
         (["multiplicity", "--algebra", "A2000", "--twoS", "1", "--L", "1", "--table"],
          too_large),
         (["super", "--shape", "1000,1", "--twoS", "1", "--L", "1", "--table"], too_large),
+        # and without multiplying out the order of a group past the limit
+        (["multiplicity", "--algebra", "A3000000", "--twoS", "1", "--L", "1", "--lambda", "1"],
+         too_large),
+        (["verify", "--suite", "tensor", "--r", "3000000"], too_large),
         # an open subset is refused when it is built, for a table or a single query
         (["super", "--shape", "2,2", "--roots", "L1-L2,L2-K1", "--twoS", "1", "--L", "4",
           "--table"], "not bracket-closed"),

@@ -1,5 +1,7 @@
 """The sweep suites fail when a count they compare is wrong."""
 
+import re
+import time
 from collections import Counter
 
 import pytest
@@ -135,10 +137,21 @@ def test_verify_all_prints_the_solo_runs(capsys, caps):
         status = cli.main(["verify", "--suite", suite, *(x for kv in given.items() for x in kv)])
         return status, capsys.readouterr().out
 
+    keyword = {"--r": "rank_max", "--twoS": "two_s_max", "--L": "nsites_max"}
     solo = [run(name, {key: value for key, value in flags.items()
-                       if key[2:] in cli._SUITE_PARAMS[name]})
+                       if keyword[key] in verify.caps_of(name)})
             for name in sorted(verify.SUITES)]
     assert run("all", flags) == (max(status for status, _ in solo), "".join(out for _, out in solo))
+
+
+def test_run_suites_refuses_before_any_suite_runs():
+    # a rank-9 tensor grid would expand a 10!-term Vandermonde
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape("9! = 362880")):
+        verify.run_suites({"tensor": {"rank_max": 9}})
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match=re.escape(str(sorted(verify.SUITES)))):
+        verify.run_suites({"symmetry": {}, "no-such-suite": {}})
 
 
 def test_joint_violations_equal_the_solo_ones(monkeypatch):
