@@ -15,10 +15,12 @@ block-sorted exponent vectors, built by a pull over sites in which a chamber
 reads only the site monomials under it, and read by exponent vector
 (`ChamberStore.count`).  The module keeps one record, the latest uncapped
 pull, which a degree list that equals or extends it in the same shape
-resumes (`hook_table`).  Weight vectors stay at the public entry points, and
-only the two table functions list a store by weight vector, spreading each
-chamber over its orbit.  A point read (`hook_coefficient`) runs the same
-pull capped at the chamber it reads, keeping at every level only the
+resumes (`hook_table`).  Weight vectors stay at the public entry points.
+One function lists a whole store, `exponent_table`, spreading each chamber
+over its orbit and keying each count by exponent vector; verify compares it
+with the product of one-row characters as it is, and the two table
+functions key it by weight vector.  A point read (`hook_coefficient`) runs
+the same pull capped at the chamber it reads, keeping at every level only the
 chambers at or below that one, and returns the one count; the capped counts
 never leave this module.  Every read zero-extends: exponents that are
 negative, or that the store never reaches, count zero, so signed shift sums
@@ -259,18 +261,26 @@ def super_occupancy_coefficient(
     return hook_coefficient(m_vec, hook_spins(two_s, nsites), shape)
 
 
-def _weight_table(spins, shape: tuple[int, int]) -> dict[tuple[int, ...], int]:
-    """Every weight vector with a nonzero count, with that count: each chamber
-    of the store spread over its orbit.  No query lists a store."""
+def exponent_table(spins, shape: tuple[int, int]) -> dict[tuple[int, ...], int]:
+    """Every exponent vector with a nonzero count, with that count: each
+    chamber of the store spread over its orbit, every arrangement of its even
+    block beside every arrangement of its odd block.  No query lists a store."""
     m = shape[0]
     table = {}
     for key, count in hook_table(spins, shape).chambers.items():
         odd_orbit = _orbit(key[m:])
-        for evens in _orbit(key[:m]):
-            for odds in odd_orbit:
-                # M_a is the sum of the exponents from position a on
-                table[tuple(accumulate((evens + odds)[:0:-1]))[::-1]] = count
+        table.update(dict.fromkeys([evens + odds for evens in _orbit(key[:m])
+                                    for odds in odd_orbit], count))
     return table
+
+
+def _weight_table(spins, shape: tuple[int, int]) -> dict[tuple[int, ...], int]:
+    """`exponent_table` keyed by weight vector."""
+    return {
+        # M_a is the sum of the exponents from position a on
+        tuple(accumulate(exponents[:0:-1]))[::-1]: count
+        for exponents, count in exponent_table(spins, shape).items()
+    }
 
 
 def occupancy_table(spins, rank: int) -> dict[tuple[int, ...], int]:

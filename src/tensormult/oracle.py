@@ -14,13 +14,17 @@ hook Schur polynomials.  It keeps one record, its latest product, and
 extends it factor by factor, as the Pieri fold (`pieri_expansion`) does its
 latest fold; both return read-only mappings.  `matrix_counts` counts listed
 weight vectors of one degree list without any product, row by row under the
-column sums still open, in one memo that lives for one call.  The greedy
-decomposition (`hook_schur_expansion`) expands each hook Schur polynomial it
-meets in full; only the benchmark's traced layers run it.
+column sums still open, in one memo that lives for one call, keyed by those
+sums sorted within each block.  The greedy decomposition
+(`hook_schur_expansion`) expands each hook Schur polynomial it meets in
+full; only the benchmark's traced layers run it.
 
 These routines share no cache with the shift-operator path, and no code
 beyond the validation of degree lists (`occupancy.spin_tuple`) and the
-diagram helpers `partitions.partition`, `conjugate` and `is_partition`, so
+diagram helpers `partitions.partition`, `conjugate` and `is_partition`.
+They read no diagram off the cached enumerators that the route and verify's
+"no row" lists share (`partitions_of`, `hook_partitions_of`): the alternant
+takes its diagrams from the product's keys and the fold grows its own.  So
 agreement is meaningful evidence.
 `kostka` and `sympoly.hook_schur` share one enumerator of strip removals,
 which the route does not use; the route multiplies no polynomials.
@@ -30,7 +34,7 @@ from collections.abc import Mapping
 from functools import cache
 from itertools import accumulate
 from math import factorial, prod
-from operator import add, sub
+from operator import add, ge, sub
 from types import MappingProxyType
 
 from .errors import NonTerminating, SizeMismatch
@@ -55,7 +59,7 @@ def schur_expansion(spins, rank: int) -> dict[tuple[int, ...], int]:
     shifts = [(tuple(map(sub, staircase, e)), sign) for e, sign in vandermonde(nvars).terms.items()]
     out = {}
     for lam in counts:
-        if is_partition(lam):
+        if all(map(ge, lam, lam[1:])):  # the exponents are nonnegative
             mult = sum(sign * counts.get(tuple(map(add, lam, shift)), 0) for shift, sign in shifts)
             if mult:
                 out[partition(lam)] = mult
@@ -106,7 +110,8 @@ def matrix_counts(m_vecs, spins, shape: tuple[int, int]) -> list[int]:
     weight; in hook variables of shape (m, n) the last n columns hold 0 or 1.
     The ordinary rank-r count is the shape (r + 1, 0).  Weights with a
     negative exponent count zero.  The counts of one call share one memo of
-    subcounts, keyed by the site reached and the column sums still open: a
+    subcounts, keyed by the site reached and the column sums still open,
+    sorted within the even and within the odd block (`_count_rows`): a
     subcount so keyed does not depend on the weight it was reached from.
     The memo dies with the call.
     """
@@ -133,8 +138,17 @@ def matrix_counts(m_vecs, spins, shape: tuple[int, int]) -> list[int]:
 def _count_rows(site, columns, spins, evens: int, counts: dict, lists: dict) -> int:
     """Matrices with the row degrees spins[site:], at least two, and the
     column sums columns, which have the same total; the columns after the
-    first `evens` hold 0 or 1.  Each count is kept in `counts` by (site,
-    columns), and `counts` and `lists` live for one `matrix_counts` call."""
+    first `evens` hold 0 or 1.
+
+    Permuting the columns of one block permutes the matrices, so the count
+    is that of the column sums sorted within the even block and within the
+    odd block.  Each count is kept in `counts` by the site and the sorted
+    sums, and so are the row lists in `lists`; both live for one
+    `matrix_counts` call."""
+    if evens == len(columns):
+        columns = tuple(sorted(columns, reverse=True))
+    else:
+        columns = (*sorted(columns[:evens], reverse=True), *sorted(columns[evens:], reverse=True))
     count = counts.get((site, columns))
     if count is None:
         rows = _rows(spins[site], columns, evens, lists)

@@ -3,7 +3,12 @@ occupancy weight vectors.  The ordinary dictionaries (`m_from_lambda`,
 `lambda_from_m`) are the hook ones at shape (rank + 1, 0).
 
 Partitions are plain tuples of nonnegative integers in canonical form
-(weakly decreasing, no trailing zeros).  Weight vectors ("M vectors") are
+(weakly decreasing, no trailing zeros).  The two diagram enumerators,
+`partitions_of` and `hook_partitions_of`, return tuples, cached per argument
+set for the life of the process: the pull's even blocks, the route's
+labels (`diffformula.label_rows`) and verify's "no row" lists share them.
+The oracles read none of them; they take their diagrams from a product's
+keys or grow them strip by strip.  Weight vectors ("M vectors") are
 tuples (M_1, ..., M_r); the boundary entries M_0 = total degree and
 M_{r+1} = 0 are implicit and supplied by context.
 """
@@ -113,11 +118,12 @@ def super_m_from_hook(lam, two_sl: int, shape: tuple[int, int]) -> tuple[int, ..
 
 
 def hook_rows(lam, shape: tuple[int, int]) -> tuple[int, ...]:
-    """The m + n monomial exponents of a hook diagram: its first m rows, then
-    the columns of the rows below row m, each padded with zeros."""
+    """The m + n monomial exponents of a hook diagram in canonical form: its
+    first m rows, then the columns of the rows below row m, each padded with
+    zeros."""
     m, n = shape
     head = lam[:m] + (0,) * (m - len(lam[:m]))
-    tail_cols = conjugate(lam[m:])
+    tail_cols = transpose(lam[m:])
     return head + tail_cols + (0,) * (n - len(tail_cols))
 
 
@@ -137,30 +143,31 @@ def hook_from_super_m(m_vec, two_sl: int, shape: tuple[int, int]) -> tuple[int, 
     raise NonStandardWeight(f"M={m_vec} gives the values {values}, which assemble to no diagram")
 
 
-def partitions_of(total: int, max_rows: int | None = None, max_part: int | None = None):
-    """Yield all partitions of `total`, largest part first, optionally bounded."""
+@cache
+def partitions_of(
+    total: int, max_rows: int | None = None, max_part: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """All partitions of `total`, largest part first, optionally bounded."""
     cap = total if max_part is None else min(max_part, total)
-    rows = total if max_rows is None else max_rows
+    found = []
 
-    def rec(remaining, largest, depth):
+    def rec(prefix, remaining, largest, depth):
         if remaining == 0:
-            yield ()
+            found.append(prefix)
             return
         if depth == 0:
             return
         # the first part is at least the average of what the rows must hold
         for first in range(min(largest, remaining), -(-remaining // depth) - 1, -1):
-            for rest in rec(remaining - first, first, depth - 1):
-                yield (first,) + rest
+            rec(prefix + (first,), remaining - first, first, depth - 1)
 
-    if total == 0:
-        yield ()
-        return
-    yield from rec(total, cap, rows)
+    rec((), total, cap, total if max_rows is None else max_rows)
+    return tuple(found)
 
 
-def hook_partitions_of(total: int, shape: tuple[int, int]):
-    """Yield all partitions of `total` inside the (m, n)-hook, largest part first.
+@cache
+def hook_partitions_of(total: int, shape: tuple[int, int]) -> tuple[tuple[int, ...], ...]:
+    """All partitions of `total` inside the (m, n)-hook, largest part first.
 
     The first m rows are any partition with at most m rows; the rows below
     them have at most n cells each, and no more than row m.  At n = 0 these
@@ -168,8 +175,7 @@ def hook_partitions_of(total: int, shape: tuple[int, int]):
     """
     m, n = shape
     if not n:
-        yield from partitions_of(total, max_rows=m)
-        return
+        return partitions_of(total, max_rows=m)
     found = []
     for size in range(total + 1):
         for head in partitions_of(size, max_rows=m):
@@ -179,9 +185,9 @@ def hook_partitions_of(total: int, shape: tuple[int, int]):
                 # the rows below row m, as the columns they conjugate to
                 cap = min(n, head[-1]) if m else n
                 found.extend(
-                    head + conjugate(cols) for cols in partitions_of(total - size, max_rows=cap)
+                    head + transpose(cols) for cols in partitions_of(total - size, max_rows=cap)
                 )
-    yield from sorted(found, reverse=True)
+    return tuple(sorted(found, reverse=True))
 
 
 def parse_partition(text: str) -> tuple[int, ...]:

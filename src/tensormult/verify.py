@@ -3,6 +3,11 @@ checked against an independent one over parameter grids.  Each runner returns
 a list of violation records; an empty list means the suite passed.  The route
 sweeps read one `diffformula.table` per grid cell, as the CLI does; a diagram
 they enumerate, or an oracle key, without a row is a "no row" violation.
+The diagrams come from the cached enumerators that the route's labels
+share; an oracle's keys are its own, so a diagram the enumerator misses is
+still caught.  The `backends` table half compares the store and the
+product of one-row characters by exponent vector, every arrangement of
+each chamber included.
 A suite's grid caps are those of `rank_max`, `two_s_max` and `nsites_max` its
 runner takes (`caps_of`).
 The suites of (rank, 2s, L) cells are one check per cell (`CELL_CHECKS`),
@@ -11,12 +16,12 @@ store are built once; each suite's violations are those of its solo run.
 """
 
 import random
-from itertools import accumulate, product
+from itertools import product
 from operator import le, sub
 
 from . import diffformula, occupancy, oracle
 from .partitions import hook_partitions_of, m_from_lambda, partitions_of
-from .sympoly import SparsePoly, hook_schur
+from .sympoly import hook_schur
 from .weyl import SuperRootSubset, full_subalgebra, hook_algebra, weyl_order
 
 
@@ -26,15 +31,12 @@ def _grid(*caps):
 
 
 def _store_cell(rank: int, two_s: int, nsites: int) -> list[dict]:
-    """The uncapped pull (`occupancy_table`) against the product of one-row
-    characters (`oracle.monomial_counts`), each monomial a standard weight."""
-    spins = (two_s,) * nsites
-    store = occupancy.occupancy_table(spins, rank)
-    counted = {
-        # M_a is the sum of the exponents from position a on
-        tuple(accumulate(expv[:0:-1]))[::-1]: count
-        for expv, count in oracle.monomial_counts(spins, (rank + 1, 0)).items()
-    }
+    """The uncapped pull spread over every arrangement
+    (`occupancy.exponent_table`) against the product of one-row characters
+    (`oracle.monomial_counts`), both keyed by exponent vector."""
+    spins, shape = (two_s,) * nsites, (rank + 1, 0)
+    store = occupancy.exponent_table(spins, shape)
+    counted = oracle.monomial_counts(spins, shape)
     if store == counted:
         return []
     diff = set(store.items()) ^ set(counted.items())
@@ -215,8 +217,12 @@ def super_conjecture_violations(
             expected = oracle.pieri_expansion(spins, shape)
             cell = {"shape": shape, "twoS": two_s, "L": nsites}
             inside = set(hook_partitions_of(two_s * nsites, shape))
-            hooks = (hook_schur(lam, shape) * mult for lam, mult in expected.items())
-            recomposed = sum(hooks, SparsePoly.zero(sum(shape))).terms
+            recomposed = {}
+            for lam, mult in expected.items():
+                for expv, coeff in hook_schur(lam, shape).terms.items():
+                    recomposed[expv] = recomposed.get(expv, 0) + mult * coeff
+            # a polynomial keeps no zero term
+            recomposed = {expv: coeff for expv, coeff in recomposed.items() if coeff}
             # hs_lam is zero outside the hook, so the recomposition cannot see such an entry
             if recomposed != oracle.monomial_counts(spins, shape) or not expected.keys() <= inside:
                 violations.append({**cell, "kind": "oracles"})

@@ -5,10 +5,13 @@ The polynomials are the classical constructions the oracles in `src` do
 without: complete homogeneous, Schur (bialternant divided exactly by the
 Vandermonde, and the monomial sum over semistandard tableaux) and skew Schur.
 The tests check the package's `hook_schur`, `vandermonde` and `SparsePoly`
-arithmetic against them.  The frozen tables are the decompositions of the
-smallest hook algebras at six tensor factors, regression anchors for the
-conjectural hook routes.
+arithmetic against them, and its cached diagram enumerators against the
+brute-force lists of `partitions_brute` and `hook_partitions_brute`.  The
+frozen tables are the decompositions of the smallest hook algebras at six
+tensor factors, regression anchors for the conjectural hook routes.
 """
+
+from functools import cache
 
 from tensormult.errors import ArityMismatch, TensormultError, TooManyRows
 from tensormult.partitions import partition
@@ -252,3 +255,31 @@ ODD_SPAN_TABLE = {
 SUB_EVEN = SuperRootSubset((2, 1), ((1, 2),))
 SUB_ODD_TAIL = SuperRootSubset((2, 1), ((2, 3),))
 SUB_ODD_SPAN = SuperRootSubset((2, 1), ((1, 3),))
+
+
+@cache
+def _compositions(total: int) -> tuple[tuple[int, ...], ...]:
+    """Every composition of total into positive parts."""
+    if total == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(1, total + 1)
+                 for rest in _compositions(total - first))
+
+
+def partitions_brute(total: int, max_rows=None, max_part=None) -> list[tuple[int, ...]]:
+    """Every partition of total with at most max_rows parts, none above
+    max_part, largest part first: the weakly decreasing compositions, filtered."""
+    return sorted(
+        (lam for lam in _compositions(total)
+         if all(a >= b for a, b in zip(lam, lam[1:]))
+         and (max_rows is None or len(lam) <= max_rows)
+         and (max_part is None or not lam or lam[0] <= max_part)),
+        reverse=True,
+    )
+
+
+def hook_partitions_brute(total: int, shape: tuple[int, int]) -> list[tuple[int, ...]]:
+    """Every partition of total inside the (m, n)-hook, largest part first:
+    those whose row m + 1 holds at most n cells."""
+    m, n = shape
+    return [lam for lam in partitions_brute(total) if len(lam) <= m or lam[m] <= n]

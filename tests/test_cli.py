@@ -607,7 +607,7 @@ def test_queries_never_iterate_the_store(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a query iterated the count store")
 
-    monkeypatch.setattr(occupancy_mod, "_weight_table", refuse)
+    monkeypatch.setattr(occupancy_mod, "exponent_table", refuse)
     monkeypatch.setattr(occupancy_mod, "_orbit", refuse)
     # nor may a table filter every weight vector for its labels
     monkeypatch.setattr(occupancy_mod, "standard_m_vectors", refuse)

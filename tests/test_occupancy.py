@@ -8,6 +8,7 @@ import pytest
 import tensormult.occupancy as occupancy_mod
 from tensormult.cli import main
 from tensormult.occupancy import (
+    exponent_table,
     hook_coefficient,
     hook_spins,
     hook_table,
@@ -128,6 +129,29 @@ def test_super_backends_agree():
                 if n == 0:
                     # at n = 0 the hook count is the ordinary rank m - 1 count
                     assert table == occupancy_table((two_s,) * nsites, m - 1)
+
+
+def test_exponent_spread_maps_onto_the_weight_tables():
+    # verify compares the spread by exponent vector; the two tables are the
+    # same counts keyed by weight vector, M_a the sum of the exponents from
+    # position a on, one weight vector per exponent vector
+    for shape in ((2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
+        for two_s in (1, 2, 3):
+            for nsites in (1, 2, 4):
+                spins = (two_s,) * nsites
+                spread = exponent_table(spins, shape)
+                # each chamber once in every arrangement within its blocks
+                m = shape[0]
+                arranged = {evens + odds: count
+                            for key, count in hook_table(spins, shape).chambers.items()
+                            for evens in permutations(key[:m]) for odds in permutations(key[m:])}
+                assert spread == arranged, shape
+                weights = {tuple(sum(e[a:]) for a in range(1, len(e))): count
+                           for e, count in spread.items()}
+                assert len(weights) == len(spread)
+                assert weights == super_occupancy_table(two_s, nsites, shape), shape
+                if not shape[1]:
+                    assert weights == occupancy_table(spins, shape[0] - 1), shape
 
 
 def _raised(call, *args):

@@ -1,13 +1,14 @@
 import ast
 import random
 from math import comb
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from operator import sub
 from pathlib import Path
 
 import pytest
 
 import tensormult.oracle
+import tensormult.sympoly
 from tensormult.errors import SizeMismatch
 from tensormult.occupancy import occupancy_coefficient, occupancy_table, standard_m_vectors
 from tensormult.oracle import (
@@ -213,6 +214,24 @@ def test_oracle_imports_nothing_of_the_shift_route():
     assert from_occupancy == {"spin_tuple"}
 
 
+def test_oracles_take_no_diagrams_from_the_route_enumerators():
+    """The oracles list their own diagrams: neither oracle nor sympoly imports
+    or names the cached enumerators that the route, its labels and verify's
+    "no row" lists share, so a diagram they miss cannot hide from a check."""
+    shared = {"partitions_of", "hook_partitions_of"}
+    for module in (tensormult.oracle, tensormult.sympoly):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name.split(".")[-1] for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            else:
+                continue
+            assert not names & shared, (module.__name__, names)
+
+
 def test_matrix_count_examples():
     # six degree-one sites in three variables: multinomial counts
     assert matrix_counts([(3, 1)], (1,) * 6, (3, 0)) == [60]
@@ -257,7 +276,7 @@ def test_matrix_count_memo_is_order_free():
         rng.shuffle(order)
         shuffled = matrix_counts([m_vecs[i] for i in order], spins, shape)
         assert shuffled == [counts[i] for i in order], (spins, shape)
-    # the columns keep their given order: (4, 2) and (2, 4) count alike
+    # columns of one block count alike in either order: (4, 2) and (2, 4)
     assert matrix_counts([(2,), (4,)], (3, 3), (2, 0)) == [3, 3]
 
 
@@ -286,6 +305,34 @@ def test_matrix_count_recurses_only_on_a_memo_miss(monkeypatch):
             assert matrix_counts(m_vecs, spins, shape) == first
             assert calls == made  # nothing kept from the first call
     assert made
+
+
+def test_matrix_count_memo_is_symmetric_within_blocks(monkeypatch):
+    """The memo keys the open column sums sorted within the even and within
+    the odd block: every arrangement of one weight's exponents counts alike,
+    and one call over all of them enumerates as many row lists as a call
+    over one."""
+    enumerate_rows = tensormult.oracle._rows
+    calls = []
+
+    def counted(degree, columns, evens, lists):
+        calls.append(columns)
+        return enumerate_rows(degree, columns, evens, lists)
+
+    monkeypatch.setattr(tensormult.oracle, "_rows", counted)
+    for shape, spins, exponents in (((4, 0), (2,) * 4, (3, 2, 2, 1)),
+                                    ((3, 2), (2, 2, 1, 2), (3, 1, 1, 1, 1)),
+                                    ((2, 3), (1, 3, 2), (2, 1, 1, 1, 1))):
+        m = shape[0]
+        m_vecs = [tuple(sum(e[a:]) for a in range(1, len(e)))
+                  for e in (evens + odds for evens in set(permutations(exponents[:m]))
+                            for odds in set(permutations(exponents[m:])))]
+        calls.clear()
+        [one] = matrix_counts(m_vecs[:1], spins, shape)
+        alone = len(calls)
+        calls.clear()
+        assert matrix_counts(m_vecs, spins, shape) == [one] * len(m_vecs), shape
+        assert len(calls) == alone and one and len(m_vecs) > 1, shape
 
 
 def test_matrix_count_rows_fit_under_the_open_column_sums(monkeypatch):

@@ -3,6 +3,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import hook_partitions_brute, partitions_brute
 from tensormult.errors import NonStandardWeight, SizeMismatch, TooManyRows
 from tensormult.partitions import (
     conjugate,
@@ -96,6 +97,25 @@ def test_round_trip_m_to_lambda_exhaustive():
                 except NonStandardWeight:
                     continue
                 assert m_from_lambda(lam, rank, two_sl) == m_vec
+
+
+def test_enumerators_match_the_brute_force_lists():
+    # every bound, None included, in the brute-force order; the cached
+    # tuples come back equal on a repeated call
+    for total in range(13):
+        for max_rows in (None, *range(total + 2)):
+            for max_part in (None, *range(total + 2)):
+                listed = partitions_of(total, max_rows, max_part)
+                assert type(listed) is tuple
+                assert list(listed) == partitions_brute(total, max_rows, max_part), (
+                    total, max_rows, max_part)
+                assert partitions_of(total, max_rows, max_part) == listed
+    for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 0)):
+        for total in range(13):
+            listed = hook_partitions_of(total, shape)
+            assert type(listed) is tuple
+            assert list(listed) == hook_partitions_brute(total, shape), (total, shape)
+            assert hook_partitions_of(total, shape) == listed
 
 
 def test_round_trip_lambda_to_m_exhaustive():

@@ -35,6 +35,29 @@ def test_backends_catches_a_corrupted_store_chamber(monkeypatch):
     assert verify.store_oracle_violations(rank_max=2, two_s_max=2, nsites_max=3) == []
 
 
+def test_backends_compares_every_arrangement(monkeypatch):
+    # one count off at x_{r+1}^T, an exponent vector that is no chamber (its
+    # entries rise), which every cell's product reaches: the comparison sees
+    # every arrangement of the store's chambers, not the chambers alone
+    table = oracle_mod.monomial_counts
+    corrupted_at = []
+
+    def corrupted(spins, shape):
+        counts = dict(table(spins, shape))
+        rising = (0,) * (sum(shape) - 1) + (sum(spins),)
+        counts[rising] += 1
+        corrupted_at.append(rising)
+        return counts
+
+    monkeypatch.setattr(oracle_mod, "monomial_counts", corrupted)
+    violations = verify.store_oracle_violations(
+        rank_max=2, two_s_max=2, nsites_max=3, samples=0
+    )
+    assert [v["kind"] for v in violations] == ["table"] * 12
+    for v, rising in zip(violations, corrupted_at):
+        assert rising in {expv for expv, _ in v["diff"]}, v
+
+
 def test_sweeps_catch_a_corrupted_monomial_count(monkeypatch):
     table = oracle_mod.monomial_counts
 
